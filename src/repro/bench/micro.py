@@ -6,10 +6,10 @@ coarse to localise a kernel regression: a 2x slowdown in the DRAM
 replay hides inside a cell whose wall clock is dominated by expansion.
 The micro suite times the individual vectorized kernels (DRAM batch
 replay, unique filtering, grouping, warp/stream coalescing, LRU cache
-replay, CC labelling) on fixed-seed synthetic inputs and writes the
-same style of schema-versioned artifact, so ``--compare`` against the
-committed ``benchmarks/baseline_micro.json`` gates future kernel work
-through the existing exit-2 path.
+replay, CC labelling, L2 reuse profiling) on fixed-seed synthetic
+inputs and writes the same style of schema-versioned artifact, so
+``--compare`` against the committed ``benchmarks/baseline_micro.json``
+gates future kernel work through the existing exit-2 path.
 
 Each record pairs three things:
 
@@ -58,6 +58,7 @@ from ..mem.cache import SetAssociativeCache
 from ..mem.coalescer import coalesce_stream, coalesce_warp
 from ..mem.dram import GDDR5
 from ..mem.dram_sim import BankedDramSim
+from ..mem.locality import profile_lines
 from ..obs.metrics import MetricsRegistry, global_metrics
 from .compare import V_MISSING, V_SIM, V_WALL, V_FASTER, CompareReport, Finding
 from .record import WallStats, collect_provenance
@@ -327,6 +328,29 @@ def _coalesce_stream_run(inputs: Dict[str, Any]) -> Dict[str, float]:
     }
 
 
+def _profile_inputs(quick: bool) -> Tuple[int, Dict[str, Any]]:
+    n = 50_000 if quick else 200_000
+    rng = np.random.default_rng(2033)
+    # Shaped like PageRank's rank-update atomics as the L2 profile sees
+    # them: one 4-byte rank per edge destination over a bounded node
+    # range (about six edges per node), warp-coalesced into sectors.
+    ranks = rng.integers(0, n // 6, size=n) * 4
+    return n, {"ids": coalesce_warp(ranks).line_ids}
+
+
+def _profile_run(inputs: Dict[str, Any]) -> Dict[str, float]:
+    profile = profile_lines(inputs["ids"])
+    return {
+        "accesses": float(profile.accesses),
+        "unique_lines": float(profile.unique_lines),
+    }
+
+
+def _profile_reference(inputs: Dict[str, Any]) -> Dict[str, float]:
+    ids = inputs["ids"].tolist()
+    return {"accesses": float(len(ids)), "unique_lines": float(len(set(ids)))}
+
+
 def _cache_inputs(quick: bool) -> Tuple[int, Dict[str, Any]]:
     n = 25_000 if quick else 100_000
     rng = np.random.default_rng(2030)
@@ -467,6 +491,7 @@ MICRO_KERNELS: Tuple[MicroKernel, ...] = (
     MicroKernel("cache.lru", _cache_inputs, _cache_run, _cache_reference),
     MicroKernel("cc.labels", _cc_inputs, _cc_run, _cc_reference),
     MicroKernel("batch.compaction", _batch_inputs, _batch_run, _batch_reference),
+    MicroKernel("locality.profile", _profile_inputs, _profile_run, _profile_reference),
 )
 
 MICRO_KERNEL_NAMES: Tuple[str, ...] = tuple(k.name for k in MICRO_KERNELS)

@@ -29,9 +29,10 @@ class Allocation:
     def addresses(self, indices: np.ndarray | None = None) -> np.ndarray:
         """Byte addresses of the given element indices (or all elements)."""
         if indices is None:
-            count = self.size_bytes // self.elem_bytes
-            indices = np.arange(count, dtype=np.int64)
-        addrs = self.base + np.asarray(indices, dtype=np.int64) * self.elem_bytes
+            end = self.base + self.num_elements * self.elem_bytes
+            return np.arange(self.base, end, self.elem_bytes, dtype=np.int64)
+        addrs = np.asarray(indices, dtype=np.int64) * self.elem_bytes
+        addrs += self.base
         return addrs
 
     @property

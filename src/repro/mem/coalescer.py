@@ -3,7 +3,7 @@
 Two coalescers live here:
 
 * :func:`coalesce_warp` — the GPU's per-warp coalescer: the 32 threads of
-  a warp issue one address each; accesses falling in the same cache line
+  a warp issue one address each; accesses falling in the same sector
   merge into a single memory transaction.  Intra-warp *memory
   divergence* is exactly the ratio ``transactions / warps`` and is the
   quantity the paper's grouping operation improves (Figure 12).
@@ -12,7 +12,11 @@ Two coalescers live here:
   (Section 3.2.3): a sliding merge window over an in-order request
   stream (Table 1: 32 in-flight requests, 4-element merge window).
 
-Both are exact (they look at real addresses) and vectorized.
+Both are exact (they look at real addresses) and linear in the flat
+stream: a transaction starts wherever the sector changes, a warp
+starts or a merge window fills.  Only a warp stream that is not
+already non-decreasing is sorted, warp by warp.  The plain loops in
+``tests/test_mem_stream_kernels.py`` are their written spec.
 """
 
 from __future__ import annotations
@@ -74,18 +78,6 @@ class CoalesceResult:
         return self.line_ids // (line_bytes // self.sector_bytes)
 
 
-def _unique_per_row(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For a 2-D array, return (mask of first occurrences row-wise, sorted array).
-
-    Rows are sorted first; a cell counts when it differs from its left
-    neighbour.  Padding with -1 is handled by callers.
-    """
-    rows_sorted = np.sort(lines, axis=1)
-    first = np.ones_like(rows_sorted, dtype=bool)
-    first[:, 1:] = rows_sorted[:, 1:] != rows_sorted[:, :-1]
-    return first, rows_sorted
-
-
 def coalesce_warp(
     addresses: np.ndarray,
     *,
@@ -118,18 +110,19 @@ def coalesce_warp(
 
     shift = int(sector_bytes).bit_length() - 1
     lines = addresses >> shift
-    pad = (-n) % warp_size
-    if pad:
-        lines = np.concatenate([lines, np.full(pad, -1, dtype=np.int64)])
-    grid = lines.reshape(-1, warp_size)
-    first, rows_sorted = _unique_per_row(grid)
-    keep = first & (rows_sorted != -1)
-    return CoalesceResult(
-        accesses=n,
-        transactions=int(keep.sum()),
-        line_ids=rows_sorted[keep],
-        sector_bytes=sector_bytes,
-    )
+    if (lines[1:] < lines[:-1]).any():
+        # Sort each warp's lanes; the last warp is padded with a value
+        # that sorts last, so truncating drops exactly the padding.
+        pad = np.full((-n) % warp_size, np.iinfo(np.int64).max)
+        grid = np.concatenate([lines, pad]).reshape(-1, warp_size)
+        lines = np.sort(grid, axis=1).ravel()[:n]
+    # A transaction starts wherever the sector changes or a warp starts.
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(lines[1:], lines[:-1], out=first[1:])
+    first[::warp_size] = True
+    line_ids = lines[first]
+    return CoalesceResult(n, int(line_ids.size), line_ids, sector_bytes)
 
 
 def coalesce_stream(
@@ -155,19 +148,15 @@ def coalesce_stream(
 
     shift = int(sector_bytes).bit_length() - 1
     lines = addresses >> shift
-    run_start = np.ones(n, dtype=bool)
-    run_start[1:] = lines[1:] != lines[:-1]
-    # Position of each access within its same-sector run.
-    indices = np.arange(n, dtype=np.int64)
-    start_index = np.maximum.accumulate(np.where(run_start, indices, 0))
-    position = indices - start_index
-    keep = position % merge_window == 0
-    return CoalesceResult(
-        accesses=n,
-        transactions=int(keep.sum()),
-        line_ids=lines[keep],
-        sector_bytes=sector_bytes,
-    )
+    # Run boundaries: a run of one sector issues a transaction per
+    # started window, all to that sector.
+    edge = np.empty(n + 1, dtype=bool)
+    edge[0] = edge[n] = True
+    np.not_equal(lines[1:], lines[:-1], out=edge[1:n])
+    bounds = np.flatnonzero(edge)
+    runs = bounds[1:] - bounds[:-1]
+    line_ids = np.repeat(lines[bounds[:-1]], -(-runs // merge_window))
+    return CoalesceResult(n, int(line_ids.size), line_ids, sector_bytes)
 
 
 def sequential_addresses(

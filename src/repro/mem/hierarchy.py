@@ -82,7 +82,7 @@ def row_hit_fraction(
         return 0.5
     lines_per_row = max(1, row_bytes // sector_bytes)
     rows = line_ids // lines_per_row
-    return float(np.mean(rows[1:] == rows[:-1]))
+    return int(np.count_nonzero(rows[1:] == rows[:-1])) / (rows.size - 1)
 
 
 @dataclass

@@ -42,14 +42,14 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ProtocolError, ServiceError
 from ..obs.metrics import MetricsRegistry
 from ..obs.promtext import merge_expositions
 from .protocol import MAX_BODY_BYTES, encode, error_payload, parse_run_request
-from .server import ServiceConfig, SimulationService, make_server
+from .server import OneSendHandler, ServiceConfig, SimulationService, make_server
 from .store import DEFAULT_STORE_MAX_BYTES
 
 ROUTED_METRIC = "cluster.routed"
@@ -453,35 +453,14 @@ class ClusterFront:
             self._monitor = None
 
 
-class ClusterHandler(BaseHTTPRequestHandler):
+class ClusterHandler(OneSendHandler):
     """Routes HTTP verbs to the :class:`ClusterFront` on the server."""
 
-    protocol_version = "HTTP/1.1"
     server_version = "repro-cluster"
-    sys_version = ""
 
     @property
     def front(self) -> ClusterFront:
         return self.server.front  # type: ignore[attr-defined]
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass
-
-    def _send(
-        self,
-        status: int,
-        body: bytes,
-        *,
-        content_type: str = "application/json",
-        extra_headers: Tuple[Tuple[str, str], ...] = (),
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in extra_headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
 
     def do_GET(self) -> None:  # noqa: N802 — http.server API
         if self.path == "/healthz":

@@ -931,21 +931,21 @@ def _error_outcome(error: BaseException) -> str:
     return OUTCOME_ERROR
 
 
-class RequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP verbs to the :class:`SimulationService` on the server."""
+class OneSendHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 handler that writes each response in a single send.
+
+    Writing the head and the body separately lets Nagle's algorithm hold
+    the body until the client acknowledges the head, which a delayed-ACK
+    client does only after ~40 ms: every response on a reused
+    connection would stall that long.
+    """
 
     protocol_version = "HTTP/1.1"
-    server_version = "repro-serve"
     sys_version = ""
-
-    @property
-    def service(self) -> SimulationService:
-        return self.server.service  # type: ignore[attr-defined]
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # request logging is the metrics registry's job
 
-    # -- response plumbing ---------------------------------------------
     def _send(
         self,
         status: int,
@@ -959,9 +959,20 @@ class RequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in extra_headers:
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
+
+class RequestHandler(OneSendHandler):
+    """Routes HTTP verbs to the :class:`SimulationService` on the server."""
+
+    server_version = "repro-serve"
+
+    @property
+    def service(self) -> SimulationService:
+        return self.server.service  # type: ignore[attr-defined]
+
+    # -- response plumbing ---------------------------------------------
     def _error_response(
         self, error: BaseException
     ) -> Tuple[int, bytes, Tuple[Tuple[str, str], ...]]:

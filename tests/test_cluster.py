@@ -21,6 +21,8 @@ from repro.obs.promtext import check_exposition, sum_by_name
 from repro.request import RunRequest
 from repro.serve.cluster import HashRing, LocalCluster
 
+from .test_serve import keep_alive_median_s
+
 BODY = json.dumps(
     {"algorithm": "bfs", "dataset": "human", "gpu": "TX1", "mode": "scu-enhanced"}
 ).encode()
@@ -126,6 +128,9 @@ class TestClusterFront:
         assert {w["url"] for w in payload["workers"]} == set(
             cluster.worker_urls
         )
+
+    def test_keep_alive_front_responses_do_not_wait_for_a_delayed_ack(self, cluster):
+        assert keep_alive_median_s(cluster.url) < 0.020
 
     def test_merged_metrics_are_conformant(self, cluster):
         _post(cluster.url)

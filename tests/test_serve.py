@@ -8,10 +8,13 @@ once, deterministic overflow/timeout/validation failures, and
 drain-on-shutdown.
 """
 
+import http.client
 import json
+import statistics
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -266,6 +269,24 @@ def _start(service):
     return httpd, f"http://{host}:{port}"
 
 
+def keep_alive_median_s(base, path="/healthz", count=20):
+    """Median round trip of ``count`` GETs sent on one reused connection."""
+    url = urllib.parse.urlsplit(base)
+    connection = http.client.HTTPConnection(url.hostname, url.port, timeout=10.0)
+    samples = []
+    try:
+        for _ in range(count):
+            started = time.perf_counter()
+            connection.request("GET", path)
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200
+            samples.append(time.perf_counter() - started)
+    finally:
+        connection.close()
+    return statistics.median(samples)
+
+
 @pytest.fixture
 def served():
     """A running service on a free port, torn down afterwards."""
@@ -302,6 +323,13 @@ class TestHttpService:
         assert payload["status"] == "ok"
         assert payload["workers"] == 2
         assert payload["queue_capacity"] == 8
+
+    def test_keep_alive_responses_do_not_wait_for_a_delayed_ack(self, served):
+        # A head and body written in two sends leave the body to Nagle,
+        # which holds it for the client's delayed ACK (~40 ms) whenever
+        # the connection is reused.
+        _, base = served
+        assert keep_alive_median_s(base) < 0.020
 
     def test_metrics_exposition(self, served):
         _, base = served
