@@ -92,11 +92,11 @@ def run_bfs(
                 instructions_per_thread=KERNEL_COSTS["expand.prepare"],
                 extra_instructions=int(SCAN_OVERHEAD_PER_ELEMENT * nf.size),
             )
-            prepare.load(nf_dev.addresses())
+            prepare.load(nf_dev.span())
             prepare.load(dev.offsets.addresses(nf))
             prepare.load(dev.offsets.addresses(nf + 1))
-            prepare.store(indexes_dev.addresses())
-            prepare.store(count_dev.addresses())
+            prepare.store(indexes_dev.span())
+            prepare.store(count_dev.span())
             report.add(gpu.run(prepare))
 
             gather_indices = expanded_indices(indexes_values, count_values)
@@ -114,10 +114,10 @@ def run_bfs(
                     memory_efficiency=COMPACTION_MEMORY_EFFICIENCY,
                     extra_overhead_s=compaction_sync_overhead_s(gpu.config),
                 )
-                gather.load(indexes_dev.addresses())
-                gather.load(count_dev.addresses())
+                gather.load(indexes_dev.span())
+                gather.load(count_dev.span())
                 gather.load(dev.edges.addresses(gather_indices))
-                gather.store(ef_dev.addresses())
+                gather.store(ef_dev.span())
                 dev.add_scan_traffic(gather, nf.size)
                 report.add(gpu.run(gather))
             elif mode is SystemMode.SCU_BASIC:
@@ -167,10 +167,10 @@ def run_bfs(
                 threads=ef.size,
                 instructions_per_thread=KERNEL_COSTS["contract.process"],
             )
-            process.load(ef_dev.addresses())
+            process.load(ef_dev.span())
             process.load(dev.node_data.addresses(ef))  # divergent label lookups
             process.store(dev.node_data.addresses(newly_visited))
-            process.store(mask_dev.addresses())
+            process.store(mask_dev.span())
             report.add(gpu.run(process))
             labels[newly_visited] = depth
 
@@ -187,9 +187,9 @@ def run_bfs(
                     memory_efficiency=COMPACTION_MEMORY_EFFICIENCY,
                     extra_overhead_s=compaction_sync_overhead_s(gpu.config),
                 )
-                compact.load(ef_dev.addresses())
-                compact.load(mask_dev.addresses())
-                compact.store(nf_dev.addresses())
+                compact.load(ef_dev.span())
+                compact.load(mask_dev.span())
+                compact.store(nf_dev.span())
                 dev.add_scan_traffic(compact, ef.size)
                 report.add(gpu.run(compact))
             elif mode is SystemMode.SCU_BASIC:

@@ -184,9 +184,14 @@ class GraphOnDevice:
         """
         if n <= 0:
             return
-        indices = np.arange(n, dtype=np.int64) % self.scan_scratch.size
-        spec.load(self.scan_scratch.addresses(indices))
-        spec.store(self.scan_scratch.addresses(indices))
+        if n <= self.scan_scratch.size:
+            addresses = self.scan_scratch.span(0, n)
+        else:
+            addresses = self.scan_scratch.addresses(
+                np.arange(n, dtype=np.int64) % self.scan_scratch.size
+            )
+        spec.load(addresses)
+        spec.store(addresses)
 
 
 def finalize_report(report: RunReport, system: ScuSystem) -> RunReport:

@@ -142,13 +142,13 @@ def run_connected_components(
                 instructions_per_thread=KERNEL_COSTS["expand.prepare"],
                 extra_instructions=int(SCAN_OVERHEAD_PER_ELEMENT * frontier.size),
             )
-            prepare.load(nf_dev.addresses())
+            prepare.load(nf_dev.span())
             prepare.load(dev.offsets.addresses(frontier))
             prepare.load(dev.offsets.addresses(frontier + 1))
             prepare.load(dev.node_data.addresses(frontier))
-            prepare.store(indexes_dev.addresses())
-            prepare.store(count_dev.addresses())
-            prepare.store(label_dev.addresses())
+            prepare.store(indexes_dev.span())
+            prepare.store(count_dev.span())
+            prepare.store(label_dev.span())
             report.add(gpu.run(prepare))
 
             gather_indices = expanded_indices(indexes_values, count_values)
@@ -168,11 +168,11 @@ def run_connected_components(
                     memory_efficiency=COMPACTION_MEMORY_EFFICIENCY,
                     extra_overhead_s=compaction_sync_overhead_s(gpu.config),
                 )
-                gather.load(indexes_dev.addresses())
-                gather.load(count_dev.addresses())
+                gather.load(indexes_dev.span())
+                gather.load(count_dev.span())
                 gather.load(dev.edges.addresses(gather_indices))
-                gather.store(ef_dev.addresses())
-                gather.store(lf_dev.addresses())
+                gather.store(ef_dev.span())
+                gather.store(lf_dev.span())
                 dev.add_scan_traffic(gather, frontier.size)
                 report.add(gpu.run(gather))
                 keep_mask = None
@@ -216,12 +216,12 @@ def run_connected_components(
                 threads=ef_values.size,
                 instructions_per_thread=KERNEL_COSTS["contract.process"],
             )
-            process.load(ef_dev.addresses())
-            process.load(lf_dev.addresses())
+            process.load(ef_dev.span())
+            process.load(lf_dev.span())
             process.load(dev.node_data.addresses(ef_values))
             process.atomic(dev.node_data.addresses(ef_values[improving]))
             mask_dev2 = ctx.bitmask("cc.mask", improving)
-            process.store(mask_dev2.addresses())
+            process.store(mask_dev2.span())
             report.add(gpu.run(process))
 
             candidates = np.unique(ef_values[improving])
@@ -244,9 +244,9 @@ def run_connected_components(
                     memory_efficiency=COMPACTION_MEMORY_EFFICIENCY,
                     extra_overhead_s=compaction_sync_overhead_s(gpu.config),
                 )
-                compact.load(ef_dev.addresses())
-                compact.load(next_mask_dev.addresses())
-                compact.store(ctx.array("cc.nf.next", updated).addresses())
+                compact.load(ef_dev.span())
+                compact.load(next_mask_dev.span())
+                compact.store(ctx.array("cc.nf.next", updated).span())
                 dev.add_scan_traffic(compact, ef_values.size)
                 report.add(gpu.run(compact))
             else:

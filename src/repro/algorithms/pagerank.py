@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.api import ScuSystem
-from ..core.ops import expanded_indices
 from ..errors import SimulationError
 from ..gpu.kernel import KernelSpec
 from ..graph.csr import CsrGraph
@@ -62,11 +61,9 @@ def run_pagerank(
     tracer = system.obs.tracer
 
     n = graph.num_nodes
-    all_nodes = np.arange(n, dtype=np.int64)
     degrees = graph.out_degrees
     indexes_dev = ctx.array("pr.indexes", graph.offsets[:-1])
     count_dev = ctx.array("pr.count", degrees)
-    gather_indices = expanded_indices(graph.offsets[:-1], degrees)
     prev_ranks_dev = ctx.array("pr.prev", ranks.copy())
 
     converged = False
@@ -82,13 +79,13 @@ def run_pagerank(
                 instructions_per_thread=KERNEL_COSTS["expand.prepare"],
                 extra_instructions=int(SCAN_OVERHEAD_PER_ELEMENT * n),
             )
-            prepare.load(dev.offsets.addresses(all_nodes))
-            prepare.load(dev.offsets.addresses(all_nodes + 1))
-            prepare.load(dev.node_data.addresses(all_nodes))
-            prepare.store(contrib_dev.addresses())
+            prepare.load(dev.offsets.span(0, n))
+            prepare.load(dev.offsets.span(1, n))
+            prepare.load(dev.node_data.span())
+            prepare.store(contrib_dev.span())
             report.add(gpu.run(prepare))
 
-            ef_values = graph.edges[gather_indices]
+            ef_values = graph.edges
             wf_values = np.repeat(contributions, degrees)
 
             # ---- expansion gather: the PR compaction workload -------------------
@@ -104,12 +101,12 @@ def run_pagerank(
                     memory_efficiency=COMPACTION_MEMORY_EFFICIENCY,
                     extra_overhead_s=compaction_sync_overhead_s(gpu.config),
                 )
-                gather.load(indexes_dev.addresses())
-                gather.load(count_dev.addresses())
-                gather.load(dev.edges.addresses(gather_indices))
-                gather.load(contrib_dev.addresses())
-                gather.store(ef_dev.addresses())
-                gather.store(wf_dev.addresses())
+                gather.load(indexes_dev.span())
+                gather.load(count_dev.span())
+                gather.load(dev.edges.span())  # every node's edges, in CSR order
+                gather.load(contrib_dev.span())
+                gather.store(ef_dev.span())
+                gather.store(wf_dev.span())
                 dev.add_scan_traffic(gather, n)
                 report.add(gpu.run(gather))
             else:  # SCU offload (Algorithm 3): expansion + replication
@@ -131,8 +128,8 @@ def run_pagerank(
                 threads=ef_values.size,
                 instructions_per_thread=KERNEL_COSTS["pr.rank_update"],
             )
-            update.load(ef_dev.addresses())
-            update.load(wf_dev.addresses())
+            update.load(ef_dev.span())
+            update.load(wf_dev.span())
             update.atomic(dev.node_data.addresses(np.asarray(ef_dev.values, dtype=np.int64)))
             report.add(gpu.run(update))
 
@@ -144,8 +141,8 @@ def run_pagerank(
                 threads=n,
                 instructions_per_thread=KERNEL_COSTS["pr.dampen"],
             )
-            dampen.load(dev.node_data.addresses(all_nodes))
-            dampen.store(dev.node_data.addresses(all_nodes))
+            dampen.load(dev.node_data.span())
+            dampen.store(dev.node_data.span())
             report.add(gpu.run(dampen))
 
             # ---- convergence check (GPU, all modes) ------------------------------
@@ -156,8 +153,8 @@ def run_pagerank(
                 threads=n,
                 instructions_per_thread=KERNEL_COSTS["pr.convergence"],
             )
-            check.load(dev.node_data.addresses(all_nodes))
-            check.load(prev_ranks_dev.addresses(all_nodes))
+            check.load(dev.node_data.span())
+            check.load(prev_ranks_dev.span())
             report.add(gpu.run(check))
 
             ranks[:] = new_ranks

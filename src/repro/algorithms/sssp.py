@@ -177,13 +177,13 @@ def _expand(
         instructions_per_thread=KERNEL_COSTS["expand.prepare"],
         extra_instructions=int(SCAN_OVERHEAD_PER_ELEMENT * nf.size),
     )
-    prepare.load(nf_dev.addresses())
+    prepare.load(nf_dev.span())
     prepare.load(dev.offsets.addresses(nf))
     prepare.load(dev.offsets.addresses(nf + 1))
     prepare.load(dev.node_data.addresses(nf))
-    prepare.store(indexes_dev.addresses())
-    prepare.store(count_dev.addresses())
-    prepare.store(cost_dev.addresses())
+    prepare.store(indexes_dev.span())
+    prepare.store(count_dev.span())
+    prepare.store(cost_dev.span())
     report.add(gpu.run(prepare))
 
     gather_indices = expanded_indices(indexes_values, count_values)
@@ -202,13 +202,13 @@ def _expand(
             memory_efficiency=COMPACTION_MEMORY_EFFICIENCY,
             extra_overhead_s=compaction_sync_overhead_s(gpu.config),
         )
-        gather.load(indexes_dev.addresses())
-        gather.load(count_dev.addresses())
-        gather.load(cost_dev.addresses())
+        gather.load(indexes_dev.span())
+        gather.load(count_dev.span())
+        gather.load(cost_dev.span())
         gather.load(dev.edges.addresses(gather_indices))
         gather.load(dev.weights.addresses(gather_indices))
-        gather.store(ef_dev.addresses())
-        gather.store(wf_dev.addresses())
+        gather.store(ef_dev.span())
+        gather.store(wf_dev.span())
         dev.add_scan_traffic(gather, nf.size)
         report.add(gpu.run(gather))
         return ef_dev, wf_dev
@@ -327,8 +327,8 @@ def _contract(
         threads=ef.size,
         instructions_per_thread=KERNEL_COSTS["sssp.contract.process"],
     )
-    process.load(ef_dev.addresses())
-    process.load(wf_dev.addresses())
+    process.load(ef_dev.span())
+    process.load(wf_dev.span())
     process.load(dev.node_data.addresses(ef))  # divergent distance lookups
     # Lookup-table dedup: candidates scatter their thread id by dest node,
     # then re-read to learn the winner (two divergent passes).
@@ -338,8 +338,8 @@ def _contract(
     process.atomic(dev.node_data.addresses(ef[near]))  # atomicMin relaxations
     mask_near = ctx.bitmask("mask.near", winners)
     mask_far = ctx.bitmask("mask.far", far)
-    process.store(mask_near.addresses())
-    process.store(mask_far.addresses())
+    process.store(mask_near.span())
+    process.store(mask_far.span())
     report.add(gpu.run(process))
 
     # Functional relaxation (atomicMin semantics).
@@ -356,14 +356,14 @@ def _contract(
             memory_efficiency=COMPACTION_MEMORY_EFFICIENCY,
             extra_overhead_s=compaction_sync_overhead_s(gpu.config),
         )
-        compact.load(ef_dev.addresses())
-        compact.load(wf_dev.addresses())
-        compact.load(mask_near.addresses())
-        compact.load(mask_far.addresses())
+        compact.load(ef_dev.span())
+        compact.load(wf_dev.span())
+        compact.load(mask_near.span())
+        compact.load(mask_far.span())
         nf_dev = ctx.array("nf.next", near_dests)
-        compact.store(nf_dev.addresses())
-        compact.store(ctx.array("far.e", ef[far]).addresses())
-        compact.store(ctx.array("far.w", wf[far]).addresses())
+        compact.store(nf_dev.span())
+        compact.store(ctx.array("far.e", ef[far]).span())
+        compact.store(ctx.array("far.w", wf[far]).span())
         dev.add_scan_traffic(compact, ef.size)
         dev.add_scan_traffic(compact, ef.size)
         report.add(gpu.run(compact))

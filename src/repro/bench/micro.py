@@ -6,7 +6,8 @@ coarse to localise a kernel regression: a 2x slowdown in the DRAM
 replay hides inside a cell whose wall clock is dominated by expansion.
 The micro suite times the individual vectorized kernels (DRAM batch
 replay, unique filtering, grouping, warp/stream coalescing, LRU cache
-replay, CC labelling, L2 reuse profiling) on fixed-seed synthetic
+replay, CC labelling, L2 reuse profiling, closed-form pricing of
+sequential walks through the memory hierarchy) on fixed-seed synthetic
 inputs and writes the same style of schema-versioned artifact, so
 ``--compare`` against the committed ``benchmarks/baseline_micro.json``
 gates future kernel work through the existing exit-2 path.
@@ -53,11 +54,14 @@ from ..core.filtering import filter_unique, filter_unique_reference
 from ..core.grouping import group_order, group_order_reference
 from ..core.ops import data_compaction
 from ..errors import BenchError
+from ..gpu.config import TX1
 from ..graph.csr import CsrGraph
+from ..mem.address_space import AddressSpace
 from ..mem.cache import SetAssociativeCache
 from ..mem.coalescer import coalesce_stream, coalesce_warp
 from ..mem.dram import GDDR5
 from ..mem.dram_sim import BankedDramSim
+from ..mem.hierarchy import MemoryHierarchy, MemoryStats
 from ..mem.locality import profile_lines
 from ..obs.metrics import MetricsRegistry, global_metrics
 from .compare import V_MISSING, V_SIM, V_WALL, V_FASTER, CompareReport, Finding
@@ -351,6 +355,40 @@ def _profile_reference(inputs: Dict[str, Any]) -> Dict[str, float]:
     return {"accesses": float(len(ids)), "unique_lines": float(len(set(ids)))}
 
 
+def _hierarchy_inputs(quick: bool) -> Tuple[int, Dict[str, Any]]:
+    n = 50_000 if quick else 200_000
+    space = AddressSpace()
+    offsets = space.alloc("csr.offsets", n + 1)
+    node_data = space.alloc("node.state", n)
+    # PageRank's sequential walks: a whole node_data sweep, and the
+    # offsets[1:] prefix, which starts 4 bytes into a sector.
+    return n, {"walks": (node_data.span(), offsets.span(1, n))}
+
+
+def _hierarchy_prices(walks) -> Dict[str, float]:
+    """Every walk through the warp coalescer and the SCU's 8-element
+    window, then the TX1's L2 and DRAM.  Floats compare bit for bit."""
+    hierarchy = MemoryHierarchy(l2_capacity_bytes=TX1.l2_bytes, dram=TX1.dram)
+    total = MemoryStats()
+    for walk in walks:
+        for result in (coalesce_warp(walk), coalesce_stream(walk, merge_window=8)):
+            total = total.merged(hierarchy.process(result))
+    return {
+        "transactions": float(total.transactions),
+        "l2_hits": float(total.l2_hits),
+        "dram_bytes": float(total.dram_bytes),
+        "row_hit_fraction": total.row_hit_fraction,
+    }
+
+
+def _hierarchy_run(inputs: Dict[str, Any]) -> Dict[str, float]:
+    return _hierarchy_prices(inputs["walks"])
+
+
+def _hierarchy_reference(inputs: Dict[str, Any]) -> Dict[str, float]:
+    return _hierarchy_prices([np.asarray(walk) for walk in inputs["walks"]])
+
+
 def _cache_inputs(quick: bool) -> Tuple[int, Dict[str, Any]]:
     n = 25_000 if quick else 100_000
     rng = np.random.default_rng(2030)
@@ -492,6 +530,9 @@ MICRO_KERNELS: Tuple[MicroKernel, ...] = (
     MicroKernel("cc.labels", _cc_inputs, _cc_run, _cc_reference),
     MicroKernel("batch.compaction", _batch_inputs, _batch_run, _batch_reference),
     MicroKernel("locality.profile", _profile_inputs, _profile_run, _profile_reference),
+    MicroKernel(
+        "hierarchy.process", _hierarchy_inputs, _hierarchy_run, _hierarchy_reference
+    ),
 )
 
 MICRO_KERNEL_NAMES: Tuple[str, ...] = tuple(k.name for k in MICRO_KERNELS)

@@ -289,6 +289,25 @@ def _cmd_reproduce(args) -> int:
 EXIT_REGRESSION = 2
 
 
+def _gate(report, baseline_path: str) -> int:
+    """Print a ``--compare`` report; :data:`EXIT_REGRESSION` if it found any.
+
+    Every command loads its ``--compare`` baseline before it runs, so a
+    missing or corrupt baseline fails at once, with no artifact written.
+    """
+    print()
+    print(render_table(report.table()))
+    if not report.ok:
+        print(
+            f"REGRESSION against {baseline_path}: "
+            f"{len(report.regressions)} finding(s)",
+            file=sys.stderr,
+        )
+        return EXIT_REGRESSION
+    print(f"no regression against {baseline_path}")
+    return 0
+
+
 def _cmd_bench_micro(args) -> int:
     from .bench import (
         MicroArtifact,
@@ -297,6 +316,7 @@ def _cmd_bench_micro(args) -> int:
         short_git_sha,
     )
 
+    baseline = None if args.compare is None else MicroArtifact.load(args.compare)
     tag = args.tag or short_git_sha()
     progress = None if args.no_progress else (lambda line: print(line))
     print(f"micro kernels ({'quick' if args.quick else 'full'}, reps={args.reps}):")
@@ -306,26 +326,15 @@ def _cmd_bench_micro(args) -> int:
     out_path = args.out or f"BENCH_micro_{tag}.json"
     artifact.save(out_path)
     print(f"artifact written to {out_path} ({len(artifact.records)} kernels)")
-    if args.compare is None:
+    if baseline is None:
         return 0
-    baseline = MicroArtifact.load(args.compare)
     report = compare_micro_artifacts(
         baseline,
         artifact,
         sim_rtol=args.sim_tolerance,
         wall_tolerance_pct=args.wall_tolerance,
     )
-    print()
-    print(render_table(report.table()))
-    if not report.ok:
-        print(
-            f"REGRESSION against {args.compare}: "
-            f"{len(report.regressions)} finding(s)",
-            file=sys.stderr,
-        )
-        return EXIT_REGRESSION
-    print(f"no regression against {args.compare}")
-    return 0
+    return _gate(report, args.compare)
 
 
 def _cmd_bench(args) -> int:
@@ -341,6 +350,7 @@ def _cmd_bench(args) -> int:
 
     if args.micro:
         return _cmd_bench_micro(args)
+    baseline = None if args.compare is None else BenchArtifact.load(args.compare)
     # Each bench run measures from a cold experiment cache so repeated
     # in-process invocations (--compare loops, tests) stay comparable.
     clear_experiment_cache()
@@ -370,26 +380,15 @@ def _cmd_bench(args) -> int:
     out_path = args.out or f"BENCH_{tag}.json"
     artifact.save(out_path)
     print(f"artifact written to {out_path} ({len(artifact.records)} records)")
-    if args.compare is None:
+    if baseline is None:
         return 0
-    baseline = BenchArtifact.load(args.compare)
     report = compare_artifacts(
         baseline,
         artifact,
         sim_rtol=args.sim_tolerance,
         wall_tolerance_pct=args.wall_tolerance,
     )
-    print()
-    print(render_table(report.table()))
-    if not report.ok:
-        print(
-            f"REGRESSION against {args.compare}: "
-            f"{len(report.regressions)} finding(s)",
-            file=sys.stderr,
-        )
-        return EXIT_REGRESSION
-    print(f"no regression against {args.compare}")
-    return 0
+    return _gate(report, args.compare)
 
 
 def _cmd_serve(args) -> int:
@@ -457,6 +456,7 @@ def _cmd_loadtest(args) -> int:
     )
 
     slo = parse_slo(args.slo or [])
+    baseline = None if args.compare is None else ServeArtifact.load(args.compare)
     config = LoadtestConfig(
         mode=args.mode,
         requests=args.requests,
@@ -487,25 +487,14 @@ def _cmd_loadtest(args) -> int:
     artifact.save(out_path)
     print(f"artifact written to {out_path}")
     status = 0
-    if args.compare is not None:
-        baseline = ServeArtifact.load(args.compare)
+    if baseline is not None:
         report = compare_serve_artifacts(
             baseline,
             artifact,
             latency_tolerance_pct=args.latency_tolerance,
             rate_tolerance=args.rate_tolerance,
         )
-        print()
-        print(render_table(report.table()))
-        if not report.ok:
-            print(
-                f"REGRESSION against {args.compare}: "
-                f"{len(report.regressions)} finding(s)",
-                file=sys.stderr,
-            )
-            status = EXIT_REGRESSION
-        else:
-            print(f"no regression against {args.compare}")
+        status = _gate(report, args.compare)
     if slo:
         violations = evaluate_slo(artifact, slo)
         if violations:

@@ -17,6 +17,10 @@ For the cost model the pipeline is a throughput machine: it moves
 module contributes is the *memory traffic shape* of each operation —
 which vectors are walked sequentially, which are gathered sparsely —
 expressed as address streams the shared memory hierarchy then prices.
+The Address Generator's sequential walks (``sequential_read``,
+``bitmask_read``, ``sequential_write``) are
+:class:`~repro.mem.address_space.AddressRange` streams, priced in
+closed form; gathers and hash probes are explicit address arrays.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..mem.address_space import DeviceArray
-from ..mem.coalescer import CoalesceResult, coalesce_stream, coalesce_warp
+from ..mem.address_space import AddressRange, DeviceArray
+from ..mem.coalescer import CoalesceResult, coalesce_stream
 from ..mem.hierarchy import MemoryHierarchy, MemoryStats
 from ..obs import NULL_OBS, Observability
 from .config import ScuConfig
@@ -37,7 +41,7 @@ class ScuStream:
     """One address stream an SCU operation issues."""
 
     role: str  # "data", "bitmask", "indexes", "count", "hash", "output"
-    addresses: np.ndarray
+    addresses: "np.ndarray | AddressRange"
     is_write: bool = False
     #: hash-table traffic is random by construction; everything else the
     #: SCU touches is either sequential or a gather the coalescer sees.
@@ -97,20 +101,20 @@ def streams_memory_stats(
 
 
 def sequential_read(array: DeviceArray, role: str = "data") -> ScuStream:
-    return ScuStream(role=role, addresses=array.addresses())
+    return ScuStream(role=role, addresses=array.span())
 
 
 def bitmask_read(mask_array: DeviceArray) -> ScuStream:
     """The packed bitmask walk: one 4-byte word per 32 elements."""
-    return ScuStream(role="bitmask", addresses=mask_array.addresses())
+    return ScuStream(role="bitmask", addresses=mask_array.span())
 
 
 def gather_read(array: DeviceArray, indices: np.ndarray, role: str = "data") -> ScuStream:
     return ScuStream(role=role, addresses=array.addresses(indices))
 
 
-def sequential_write(base_addresses: np.ndarray) -> ScuStream:
-    return ScuStream(role="output", addresses=base_addresses, is_write=True)
+def sequential_write(array: DeviceArray) -> ScuStream:
+    return ScuStream(role="output", addresses=array.span(), is_write=True)
 
 
 def hash_probe(addresses: np.ndarray) -> ScuStream:

@@ -179,7 +179,7 @@ class StreamCompactionUnit:
         out_array = self.ctx.bitmask(out, mask)
         streams = [
             sequential_read(data),
-            sequential_write(out_array.addresses()),
+            sequential_write(out_array),
         ]
         report = self._report(
             f"scu.bitmask({data.name})", elements=data.size, streams=streams
@@ -203,7 +203,7 @@ class StreamCompactionUnit:
             sequential_read(data),
             bitmask_read(bitmask),
             *self._reorder_streams(reorder),
-            sequential_write(out_array.addresses()),
+            sequential_write(out_array),
         ]
         report = self._report(
             f"scu.data_compaction({data.name})", elements=data.size, streams=streams
@@ -227,7 +227,7 @@ class StreamCompactionUnit:
             sequential_read(indexes, role="indexes"),
             bitmask_read(bitmask),
             gather_read(data, valid_indices),
-            sequential_write(out_array.addresses()),
+            sequential_write(out_array),
         ]
         report = self._report(
             f"scu.access_compaction({data.name})",
@@ -253,7 +253,7 @@ class StreamCompactionUnit:
             sequential_read(data),
             sequential_read(count, role="count"),
             *([] if bitmask is None else [bitmask_read(bitmask)]),
-            sequential_write(out_array.addresses()),
+            sequential_write(out_array),
         ]
         # The pipeline occupies a slot per *output* element while replaying.
         elements = max(data.size, out_array.size)
@@ -310,7 +310,7 @@ class StreamCompactionUnit:
             *([] if element_bitmask is None else [bitmask_read(element_bitmask)]),
             *self._reorder_streams(reorder),
             gather_read(data, gather_indices),
-            sequential_write(out_array.addresses()),
+            sequential_write(out_array),
         ]
         # Pipeline occupancy: with an element bitmask the unit still
         # streams (and mask-checks) every input element; only the fetch
@@ -355,7 +355,7 @@ class StreamCompactionUnit:
                     slots, base=self._hash_base(table), bytes_per_entry=table.bytes_per_entry
                 )
             ),
-            sequential_write(out_array.addresses()),
+            sequential_write(out_array),
         ]
         report = self._report(
             f"scu.filter_unique({ids.name})",
@@ -395,7 +395,7 @@ class StreamCompactionUnit:
                     slots, base=self._hash_base(table), bytes_per_entry=table.bytes_per_entry
                 )
             ),
-            sequential_write(out_array.addresses()),
+            sequential_write(out_array),
         ]
         report = self._report(
             f"scu.filter_best_cost({ids.name})",
@@ -440,7 +440,7 @@ class StreamCompactionUnit:
                     slots, base=self._hash_base(table), bytes_per_entry=table.bytes_per_entry
                 )
             ),
-            sequential_write(out_array.addresses()),
+            sequential_write(out_array),
         ]
         report = self._report(
             f"scu.grouping({destinations.name})",

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ..mem.address_space import AddressRange
 from ..mem.coalescer import coalesce_warp
 from ..mem.hierarchy import MemoryHierarchy, MemoryStats
 from ..obs import NULL_OBS, Observability
@@ -79,9 +80,14 @@ class GpuDevice:
             for stream in spec.accesses:
                 addresses = stream.addresses
                 active_mask = stream.active_mask
-                if self.reorderer is not None and not stream.is_atomic:
-                    # The unit bypasses regular (already-ordered) streams;
-                    # only irregular ones enter the buffer and pay its cost.
+                if (
+                    self.reorderer is not None
+                    and not stream.is_atomic
+                    and not isinstance(addresses, AddressRange)
+                ):
+                    # The unit bypasses regular (already-ordered) streams,
+                    # which every range is; only irregular ones enter the
+                    # buffer and pay its cost.
                     intercepted = self.reorderer.intercept(
                         addresses, active_mask=active_mask
                     )

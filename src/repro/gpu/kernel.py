@@ -5,7 +5,9 @@ many threads ran, how many instructions each executed, and — crucially —
 the *actual byte addresses* every global access stream touched.  The GPU
 device model turns those into coalesced transactions, cache traffic,
 time and energy.  This is the contract that lets a functional NumPy
-simulation drive a hardware cost model.
+simulation drive a hardware cost model.  An in-order walk is passed as
+its :class:`~repro.mem.address_space.AddressRange`; the device prices it
+without building the address array.
 """
 
 from __future__ import annotations
@@ -15,14 +17,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import SimulationError
+from ..mem.address_space import AddressRange
 from ..phases import PhaseKind
+
+
+def _stream(addresses) -> "np.ndarray | AddressRange":
+    if isinstance(addresses, AddressRange):
+        return addresses
+    return np.asarray(addresses, dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class AccessStream:
     """One global-memory access pattern issued by a kernel."""
 
-    addresses: np.ndarray  # byte address per thread/element, thread order
+    #: byte address per thread/element, thread order (or an in-order walk)
+    addresses: "np.ndarray | AddressRange"
     is_store: bool = False
     is_atomic: bool = False
     l2_bypass: bool = False  # streaming data not worth caching
@@ -62,14 +72,14 @@ class KernelSpec:
 
     def load(
         self,
-        addresses: np.ndarray,
+        addresses: "np.ndarray | AddressRange",
         *,
         l2_bypass: bool = False,
         active_mask: np.ndarray | None = None,
     ) -> "KernelSpec":
         self.accesses.append(
             AccessStream(
-                addresses=np.asarray(addresses, dtype=np.int64),
+                addresses=_stream(addresses),
                 l2_bypass=l2_bypass,
                 active_mask=active_mask,
             )
@@ -78,14 +88,14 @@ class KernelSpec:
 
     def store(
         self,
-        addresses: np.ndarray,
+        addresses: "np.ndarray | AddressRange",
         *,
         l2_bypass: bool = False,
         active_mask: np.ndarray | None = None,
     ) -> "KernelSpec":
         self.accesses.append(
             AccessStream(
-                addresses=np.asarray(addresses, dtype=np.int64),
+                addresses=_stream(addresses),
                 is_store=True,
                 l2_bypass=l2_bypass,
                 active_mask=active_mask,

@@ -1,12 +1,19 @@
 """Memory-system substrate: coalescing, caches, DRAM, hierarchy."""
 
-from .address_space import AddressSpace, Allocation, DeviceArray, DeviceContext
+from .address_space import (
+    AddressRange,
+    AddressSpace,
+    Allocation,
+    DeviceArray,
+    DeviceContext,
+)
 from .cache import CacheStats, SetAssociativeCache
 from .coalescer import (
     LINE_BYTES,
     SECTOR_BYTES,
     WARP_SIZE,
     CoalesceResult,
+    SectorWalk,
     coalesce_stream,
     coalesce_warp,
     gather_addresses,
@@ -18,6 +25,7 @@ from .hierarchy import MemoryHierarchy, MemoryStats, row_hit_fraction
 from .locality import LocalityProfile, estimate_hit_rate, estimate_hits, profile_lines
 
 __all__ = [
+    "AddressRange",
     "AddressSpace",
     "Allocation",
     "DeviceArray",
@@ -25,6 +33,7 @@ __all__ = [
     "CacheStats",
     "SetAssociativeCache",
     "CoalesceResult",
+    "SectorWalk",
     "coalesce_warp",
     "coalesce_stream",
     "sequential_addresses",

@@ -6,6 +6,13 @@ simulation therefore places every logical array (CSR offsets, edge
 array, frontiers, hash tables, ...) at a concrete base address through
 this allocator, mirroring ``cudaMalloc``'s behaviour of handing out
 aligned, non-overlapping regions.
+
+A walk over a contiguous run of elements — a whole frontier, an output
+vector, a CSR prefix — is described by an :class:`AddressRange`
+(``base``, ``count``, ``stride``) from ``span()`` rather than an array of
+its addresses: the coalescers and the L2/DRAM model price such a walk
+in closed form.  Gathers, hash probes and anything else indexed go
+through ``addresses(indices)`` as explicit ``int64`` arrays.
 """
 
 from __future__ import annotations
@@ -15,6 +22,37 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import SimulationError
+
+
+@dataclass(frozen=True)
+class AddressRange:
+    """The addresses ``base, base + stride, ...``: ``count`` of them.
+
+    A non-decreasing address stream in three numbers.  ``np.asarray``
+    materialises it as the ``int64`` array it stands for, which is what
+    every consumer without a closed form for it sees.
+    """
+
+    base: int
+    count: int
+    stride: int
+
+    def __post_init__(self) -> None:
+        # Python ints: counts priced from a range feed reports exactly
+        # like the explicit kernels' ``int`` counts.
+        for name in ("base", "count", "stride"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        if self.count < 0 or self.stride < 0:
+            raise SimulationError(
+                f"address range needs a non-negative count and stride, "
+                f"got count={self.count}, stride={self.stride}"
+            )
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        addrs = np.arange(self.count, dtype=np.int64)
+        addrs *= self.stride
+        addrs += self.base
+        return addrs if dtype is None else addrs.astype(dtype, copy=False)
 
 
 @dataclass
@@ -29,11 +67,24 @@ class Allocation:
     def addresses(self, indices: np.ndarray | None = None) -> np.ndarray:
         """Byte addresses of the given element indices (or all elements)."""
         if indices is None:
-            end = self.base + self.num_elements * self.elem_bytes
-            return np.arange(self.base, end, self.elem_bytes, dtype=np.int64)
+            return np.asarray(self.span())
         addrs = np.asarray(indices, dtype=np.int64) * self.elem_bytes
         addrs += self.base
         return addrs
+
+    def span(self, start: int = 0, count: int | None = None) -> AddressRange:
+        """The in-order walk over ``count`` elements from ``start``
+        (default: to the end of the allocation)."""
+        if count is None:
+            count = self.num_elements - start
+        if start < 0 or count < 0 or start + count > self.num_elements:
+            raise SimulationError(
+                f"span [{start}, {start + count}) is outside {self.name!r} "
+                f"({self.num_elements} elements)"
+            )
+        return AddressRange(
+            self.base + start * self.elem_bytes, count, self.elem_bytes
+        )
 
     @property
     def num_elements(self) -> int:
@@ -80,8 +131,9 @@ class DeviceArray:
     """A logical array with both its values and its device placement.
 
     The functional simulation computes on ``values``; the cost models
-    read ``addresses()`` so that coalescing and locality are measured on
-    the addresses a real kernel would issue.
+    read ``span()`` (in-order walks) and ``addresses(indices)`` (gathers)
+    so that coalescing and locality are measured on the addresses a real
+    kernel would issue.
     """
 
     values: np.ndarray
@@ -89,6 +141,11 @@ class DeviceArray:
 
     def addresses(self, indices: np.ndarray | None = None) -> np.ndarray:
         return self.alloc.addresses(indices)
+
+    def span(self, start: int = 0, count: int | None = None) -> AddressRange:
+        """The in-order walk over the placed elements (see
+        :meth:`Allocation.span`); a bitmask's elements are its packed words."""
+        return self.alloc.span(start, count)
 
     @property
     def name(self) -> str:

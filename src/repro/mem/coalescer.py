@@ -17,6 +17,16 @@ stream: a transaction starts wherever the sector changes, a warp
 starts or a merge window fills.  Only a warp stream that is not
 already non-decreasing is sorted, warp by warp.  The plain loops in
 ``tests/test_mem_stream_kernels.py`` are their written spec.
+
+An in-order walk passed as an
+:class:`~repro.mem.address_space.AddressRange` with
+``0 < stride <= sector_bytes`` issues every sector from its first
+address's to its last's.  Both coalescers price it in closed form, as a
+:class:`SectorWalk`: the warp coalescer looks only at warp starts, the
+stream coalescer only at per-sector runs (and not even those when no
+sector holds more than a window).  Its ``line_ids`` are built only when
+read.  Gathers, hash probes, masked streams and wider strides take the
+explicit kernels, which stay the spec the closed forms are pinned to.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SimulationError
+from .address_space import AddressRange
 
 #: Default transaction size. Maxwell L2 moves 32-byte sectors.
 SECTOR_BYTES = 32
@@ -33,6 +44,36 @@ SECTOR_BYTES = 32
 LINE_BYTES = 128
 #: Threads per warp on every NVIDIA architecture the paper targets.
 WARP_SIZE = 32
+
+
+@dataclass(frozen=True)
+class SectorWalk:
+    """Closed form of the transactions of an in-order sector walk.
+
+    Every sector from ``first`` to ``last`` is issued once, in ascending
+    order, and each id in ``repeats`` (non-decreasing) once more: a warp
+    start or a filled merge window that does not begin a new sector.
+    """
+
+    first: int
+    last: int
+    repeats: np.ndarray
+
+    @property
+    def transactions(self) -> int:
+        return self.last - self.first + 1 + int(self.repeats.size)
+
+    def distinct(self, sectors_per_block: int) -> int:
+        """Distinct blocks of ``sectors_per_block`` sectors touched."""
+        return self.last // sectors_per_block - self.first // sectors_per_block + 1
+
+    def line_ids(self) -> np.ndarray:
+        ids = np.arange(self.first, self.last + 1, dtype=np.int64)
+        if self.repeats.size == 0:
+            return ids
+        counts = np.bincount(self.repeats - self.first, minlength=ids.size)
+        counts += 1
+        return np.repeat(ids, counts)
 
 
 @dataclass(frozen=True)
@@ -44,12 +85,26 @@ class CoalesceResult:
     track a different block size must convert via
     :meth:`cache_line_ids`; feeding sector ids straight into a 128-byte
     line cache silently mis-sizes the working set by 4x.
+
+    ``sectors`` holds those ids as an array, or for an in-order walk as
+    the :class:`SectorWalk` they are built from when ``line_ids`` is read.
     """
 
     accesses: int
     transactions: int
-    line_ids: np.ndarray  # one sector id per transaction, for cache modeling
+    sectors: "np.ndarray | SectorWalk"
     sector_bytes: int = SECTOR_BYTES
+
+    @property
+    def line_ids(self) -> np.ndarray:
+        """One sector id per transaction, in issue order, for cache modeling."""
+        if isinstance(self.sectors, SectorWalk):
+            return self.sectors.line_ids()
+        return self.sectors
+
+    @property
+    def walk(self) -> "SectorWalk | None":
+        return self.sectors if isinstance(self.sectors, SectorWalk) else None
 
     @property
     def coalescing_factor(self) -> float:
@@ -62,24 +117,51 @@ class CoalesceResult:
     def bytes_transferred(self) -> int:
         return self.transactions * self.sector_bytes
 
+    def line_ratio(self, line_bytes: int) -> int:
+        """Sectors per ``line_bytes`` cache line."""
+        if line_bytes == self.sector_bytes:
+            return 1
+        if line_bytes < self.sector_bytes or line_bytes % self.sector_bytes:
+            raise SimulationError(
+                f"cache line size {line_bytes} is not a multiple of the "
+                f"transaction sector size {self.sector_bytes}"
+            )
+        return line_bytes // self.sector_bytes
+
     def cache_line_ids(self, line_bytes: int) -> np.ndarray:
         """Transaction ids at ``line_bytes`` granularity.
 
         Identity when the granularities already match; otherwise each
         sector id maps into the (coarser) cache line containing it.
         """
-        if line_bytes == self.sector_bytes:
+        ratio = self.line_ratio(line_bytes)
+        if ratio == 1:
             return self.line_ids
-        if line_bytes < self.sector_bytes or line_bytes % self.sector_bytes:
-            raise SimulationError(
-                f"cache line size {line_bytes} is not a multiple of the "
-                f"transaction sector size {self.sector_bytes}"
-            )
-        return self.line_ids // (line_bytes // self.sector_bytes)
+        return self.line_ids // ratio
+
+
+def _sector_shift(sector_bytes: int) -> int:
+    """``log2(sector_bytes)``; both coalescers reject any other size."""
+    if sector_bytes <= 0 or sector_bytes & (sector_bytes - 1):
+        raise SimulationError(f"sector_bytes must be a power of two, got {sector_bytes}")
+    return int(sector_bytes).bit_length() - 1
+
+
+def _is_sector_walk(addresses, sector_bytes: int) -> bool:
+    """An in-order walk that visits every sector between its ends."""
+    return isinstance(addresses, AddressRange) and 0 < addresses.stride <= sector_bytes
+
+
+def _walk_ends(walk: AddressRange, shift: int) -> tuple[int, int]:
+    """First and last sector of a walk (an empty one ends before it starts)."""
+    first = walk.base >> shift
+    if walk.count == 0:
+        return first, first - 1
+    return first, (walk.base + (walk.count - 1) * walk.stride) >> shift
 
 
 def coalesce_warp(
-    addresses: np.ndarray,
+    addresses: "np.ndarray | AddressRange",
     *,
     warp_size: int = WARP_SIZE,
     sector_bytes: int = SECTOR_BYTES,
@@ -88,16 +170,27 @@ def coalesce_warp(
     """Coalesce thread addresses warp-by-warp.
 
     Args:
-        addresses: byte address per thread, in thread order.  The stream
-            is chopped into consecutive groups of ``warp_size`` (the last
+        addresses: byte address per thread, in thread order, or the
+            :class:`AddressRange` of an in-order walk.  The stream is
+            chopped into consecutive groups of ``warp_size`` (the last
             warp may be partial).
         active_mask: optional boolean array marking active lanes;
             inactive lanes issue no access (predicated-off threads).
     """
     if warp_size <= 0:
         raise SimulationError(f"warp_size must be positive, got {warp_size}")
-    if sector_bytes <= 0 or sector_bytes & (sector_bytes - 1):
-        raise SimulationError(f"sector_bytes must be a power of two, got {sector_bytes}")
+    shift = _sector_shift(sector_bytes)
+    if active_mask is None and _is_sector_walk(addresses, sector_bytes):
+        # Lanes arrive sorted: one transaction per sector, plus one per
+        # warp start that does not begin a new sector.
+        first, last = _walk_ends(addresses, shift)
+        starts = np.arange(warp_size, addresses.count, warp_size, dtype=np.int64)
+        starts *= addresses.stride
+        starts += addresses.base
+        sectors = starts >> shift
+        repeats = sectors[sectors == (starts - addresses.stride) >> shift]
+        walk = SectorWalk(first, last, repeats)
+        return CoalesceResult(addresses.count, walk.transactions, walk, sector_bytes)
     addresses = np.asarray(addresses, dtype=np.int64)
     if active_mask is not None:
         active_mask = np.asarray(active_mask, dtype=bool)
@@ -108,7 +201,6 @@ def coalesce_warp(
     if n == 0:
         return CoalesceResult(0, 0, np.empty(0, dtype=np.int64), sector_bytes)
 
-    shift = int(sector_bytes).bit_length() - 1
     lines = addresses >> shift
     if (lines[1:] < lines[:-1]).any():
         # Sort each warp's lanes; the last warp is padded with a value
@@ -126,7 +218,7 @@ def coalesce_warp(
 
 
 def coalesce_stream(
-    addresses: np.ndarray,
+    addresses: "np.ndarray | AddressRange",
     *,
     merge_window: int = 4,
     sector_bytes: int = SECTOR_BYTES,
@@ -141,12 +233,28 @@ def coalesce_stream(
     """
     if merge_window <= 0:
         raise SimulationError(f"merge_window must be positive, got {merge_window}")
+    shift = _sector_shift(sector_bytes)
+    if _is_sector_walk(addresses, sector_bytes):
+        # Each sector's run of elements issues ceil(run / window)
+        # transactions; no run is longer than ceil(sector / stride).
+        first, last = _walk_ends(addresses, shift)
+        base, count, stride = addresses.base, addresses.count, addresses.stride
+        if -(-sector_bytes // stride) <= merge_window:
+            repeats = np.empty(0, dtype=np.int64)
+        else:
+            ids = np.arange(first, last + 1, dtype=np.int64)
+            # Each sector's first element: ceil((sector start - base) / stride).
+            bounds = np.empty(ids.size + 1, dtype=np.int64)
+            bounds[0], bounds[-1] = 0, count
+            bounds[1:-1] = -((base - (ids[1:] << shift)) // stride)
+            repeats = np.repeat(ids, (np.diff(bounds) - 1) // merge_window)
+        walk = SectorWalk(first, last, repeats)
+        return CoalesceResult(count, walk.transactions, walk, sector_bytes)
     addresses = np.asarray(addresses, dtype=np.int64)
     n = addresses.size
     if n == 0:
         return CoalesceResult(0, 0, np.empty(0, dtype=np.int64), sector_bytes)
 
-    shift = int(sector_bytes).bit_length() - 1
     lines = addresses >> shift
     # Run boundaries: a run of one sector issues a transaction per
     # started window, all to that sector.

@@ -4,6 +4,12 @@ A simulation phase hands this module the coalesced transactions it
 produced (real line ids); the hierarchy estimates L2 hits, derives DRAM
 traffic and row locality, and returns a :class:`MemoryStats` bundle the
 timing and energy models consume.
+
+A coalesced in-order walk arrives as a
+:class:`~repro.mem.coalescer.SectorWalk` (every sector from the first to
+the last, ascending): its distinct L2 lines and its DRAM row changes
+follow from those two ids, so its line ids are never built here.  Every
+other stream is profiled and row-counted element by element.
 """
 
 from __future__ import annotations
@@ -13,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..obs import NULL_OBS, Observability
-from .coalescer import SECTOR_BYTES, CoalesceResult
+from .coalescer import SECTOR_BYTES, CoalesceResult, SectorWalk
 from .dram import DramConfig, DramModel, DramTraffic
-from .locality import estimate_hit_rate, profile_lines
+from .locality import LocalityProfile, estimate_hit_rate, profile_lines
 
 
 @dataclass(frozen=True)
@@ -69,18 +75,27 @@ class MemoryStats:
 
 
 def row_hit_fraction(
-    line_ids: np.ndarray, *, row_bytes: int = 2048, sector_bytes: int = SECTOR_BYTES
+    line_ids: "np.ndarray | SectorWalk",
+    *,
+    row_bytes: int = 2048,
+    sector_bytes: int = SECTOR_BYTES,
 ) -> float:
     """Fraction of consecutive DRAM transactions staying in the same row.
 
     ``line_ids`` are transaction ids at ``sector_bytes`` granularity —
     callers passing ids of a different block size must say so, or rows
-    are mis-sized by the granularity ratio.
+    are mis-sized by the granularity ratio.  A :class:`SectorWalk`
+    changes row once per row boundary between its ends.
     """
+    lines_per_row = max(1, row_bytes // sector_bytes)
+    if isinstance(line_ids, SectorWalk):
+        count = line_ids.transactions
+        if count < 2:
+            return 0.5
+        return (count - line_ids.distinct(lines_per_row)) / (count - 1)
     line_ids = np.asarray(line_ids, dtype=np.int64)
     if line_ids.size < 2:
         return 0.5
-    lines_per_row = max(1, row_bytes // sector_bytes)
     rows = line_ids // lines_per_row
     return int(np.count_nonzero(rows[1:] == rows[:-1])) / (rows.size - 1)
 
@@ -107,7 +122,8 @@ class MemoryHierarchy:
         """Turn coalesced transactions into hierarchy-level statistics.
 
         Args:
-            result: the coalescer output (real transaction line ids).
+            result: the coalescer output (real transaction line ids, or
+                the closed form of an in-order walk's).
             l2_bypass: model streaming accesses that are not worth
                 caching (the GPU marks such loads; the SCU's bulk
                 sequential writes behave this way too).
@@ -119,7 +135,12 @@ class MemoryHierarchy:
         # with the default sector-sized L2 lines this is the identity,
         # but a 128-byte-line configuration would otherwise overstate
         # the working set (and understate hits) by the size ratio.
-        profile = profile_lines(result.cache_line_ids(self.l2_line_bytes))
+        walk = result.walk
+        if walk is None:
+            profile = profile_lines(result.cache_line_ids(self.l2_line_bytes))
+        else:
+            lines = walk.distinct(result.line_ratio(self.l2_line_bytes))
+            profile = LocalityProfile(result.transactions, lines)
         if l2_bypass:
             hit_rate = 0.0
         else:
@@ -143,7 +164,7 @@ class MemoryHierarchy:
             dram_accesses=dram_accesses,
             dram_bytes=dram_accesses * result.sector_bytes,
             row_hit_fraction=row_hit_fraction(
-                result.line_ids,
+                result.sectors,
                 row_bytes=self.dram.row_bytes,
                 sector_bytes=result.sector_bytes,
             ),

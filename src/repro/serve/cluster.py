@@ -48,7 +48,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..errors import ProtocolError, ServiceError
 from ..obs.metrics import MetricsRegistry
 from ..obs.promtext import merge_expositions
-from .protocol import MAX_BODY_BYTES, encode, error_payload, parse_run_request
+from .protocol import encode, error_payload, parse_run_request
 from .server import OneSendHandler, ServiceConfig, SimulationService, make_server
 from .store import DEFAULT_STORE_MAX_BYTES
 
@@ -493,13 +493,8 @@ class ClusterHandler(OneSendHandler):
             )
             return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            if length > MAX_BODY_BYTES:
-                raise ProtocolError(
-                    f"request body too large ({length} bytes > {MAX_BODY_BYTES})"
-                )
             result = self.front.handle_run(
-                self.rfile.read(length), self.headers.get("traceparent")
+                self._read_body(), self.headers.get("traceparent")
             )
         except (ProtocolError, ValueError) as error:
             self._send(400, encode(error_payload(400, "bad-request", str(error))))

@@ -931,6 +931,12 @@ def _error_outcome(error: BaseException) -> str:
     return OUTCOME_ERROR
 
 
+#: Seconds a connection may stall (idle, or mid-request) before its
+#: handler gives up on it.  Below the 30 s drain default, so a client
+#: that stops sending cannot hold a drain open.
+READ_TIMEOUT_S = 10.0
+
+
 class OneSendHandler(BaseHTTPRequestHandler):
     """HTTP/1.1 handler that writes each response in a single send.
 
@@ -942,9 +948,37 @@ class OneSendHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     sys_version = ""
+    timeout = READ_TIMEOUT_S
+    #: Set once the client reset the connection: nothing is sent to it.
+    client_gone = False
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # request logging is the metrics registry's job
+
+    def _read_body(self) -> bytes:
+        """The request body, as ``Content-Length`` announced it.
+
+        A body that does not arrive in full (the client reset, hung up,
+        or stalled past :data:`READ_TIMEOUT_S`) is a bad request, and the
+        connection is closed after it.
+        """
+        length = int(self.headers.get("Content-Length", "0"))
+        if length > MAX_BODY_BYTES:
+            raise ProtocolError(
+                f"request body too large ({length} bytes > {MAX_BODY_BYTES})"
+            )
+        try:
+            body = self.rfile.read(length)
+        except OSError as error:
+            self.close_connection = True
+            self.client_gone = isinstance(error, ConnectionError)
+            raise ProtocolError(f"request body not received: {error!r}") from error
+        if len(body) < length:
+            self.close_connection = True
+            raise ProtocolError(
+                f"request body ended after {len(body)} of {length} bytes"
+            )
+        return body
 
     def _send(
         self,
@@ -954,6 +988,8 @@ class OneSendHandler(BaseHTTPRequestHandler):
         content_type: str = "application/json",
         extra_headers: Tuple[Tuple[str, str], ...] = (),
     ) -> None:
+        if self.client_gone:
+            return
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -1047,24 +1083,22 @@ class RequestHandler(OneSendHandler):
         if ctx.trace_id is not None:
             rid_header += (("X-Trace-Id", ctx.trace_id),)
         error: Optional[BaseException] = None
+        status, body, extra = 500, b"", ()
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            if length > MAX_BODY_BYTES:
-                raise ProtocolError(
-                    f"request body too large ({length} bytes > {MAX_BODY_BYTES})"
-                )
-            request = parse_run_request(self.rfile.read(length))
+            request = parse_run_request(self._read_body())
             response = self.service.handle_run(request, ctx)
         except (ReproError, ValueError) as exc:
             error = exc
             status, body, extra = self._error_response(exc)
         else:
             status, body, extra = 200, encode(response), ()
-        # Journal before the response bytes leave: a client that has
-        # seen this response will find its record at /debug/requests.
-        self.service.finish_request(
-            ctx, method="POST", path="/run", status=status, error=error
-        )
+        finally:
+            # Every begun request is finished, however it ended.  Journal
+            # before the response bytes leave: a client that has seen
+            # this response will find its record at /debug/requests.
+            self.service.finish_request(
+                ctx, method="POST", path="/run", status=status, error=error
+            )
         self._send(status, body, extra_headers=extra + rid_header)
 
 

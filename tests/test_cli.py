@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -73,9 +75,18 @@ class TestBenchCommand:
     BASE = ["bench", "--datasets", "delaunay", "--gpu", "TX1",
             "--reps", "1", "--no-progress"]
 
-    def test_quick_smoke_writes_valid_artifact(self, capsys, tmp_path):
-        out_path = tmp_path / "BENCH_quick.json"
-        assert main(self.BASE + ["--quick", "--tag", "t", "--out", str(out_path)]) == 0
+    @pytest.fixture(scope="class")
+    def quick_run(self, tmp_path_factory):
+        """One quick sweep with its scoreboard: the smoke test's artifact,
+        and the baseline both compare tests read."""
+        out_path = tmp_path_factory.mktemp("bench") / "BENCH_quick.json"
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert main(self.BASE + ["--quick", "--tag", "t", "--out", str(out_path)]) == 0
+        return out_path, printed.getvalue()
+
+    def test_quick_smoke_writes_valid_artifact(self, quick_run):
+        out_path, out = quick_run
         doc = json.loads(out_path.read_text())
         assert doc["schema_version"] == 1
         assert doc["tag"] == "t"
@@ -90,13 +101,10 @@ class TestBenchCommand:
         assert doc["provenance"]["python"]
         assert doc["metrics"], "metrics snapshot must be embedded"
         assert doc["scoreboard"]["passed"] > 0
-        out = capsys.readouterr().out
         assert "fidelity" in out and "artifact written" in out
 
-    def test_compare_identical_baseline_passes(self, capsys, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        assert main(self.BASE + ["--out", str(baseline), "--no-scoreboard"]) == 0
-        capsys.readouterr()
+    def test_compare_identical_baseline_passes(self, capsys, tmp_path, quick_run):
+        baseline, _ = quick_run
         code = main(
             self.BASE
             + ["--out", str(tmp_path / "current.json"), "--no-scoreboard",
@@ -105,17 +113,16 @@ class TestBenchCommand:
         assert code == 0
         assert "no regression" in capsys.readouterr().out
 
-    def test_compare_detects_doctored_regression(self, capsys, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        assert main(self.BASE + ["--out", str(baseline), "--no-scoreboard"]) == 0
-        doc = json.loads(baseline.read_text())
+    def test_compare_detects_doctored_regression(self, capsys, tmp_path, quick_run):
+        doc = json.loads(quick_run[0].read_text())
         doc["records"][0]["sim"]["total_energy_j"] *= 1.5
-        baseline.write_text(json.dumps(doc))
+        doctored = tmp_path / "doctored.json"
+        doctored.write_text(json.dumps(doc))
         capsys.readouterr()
         code = main(
             self.BASE
             + ["--out", str(tmp_path / "current.json"), "--no-scoreboard",
-               "--compare", str(baseline), "--wall-tolerance", "0"]
+               "--compare", str(doctored), "--wall-tolerance", "0"]
         )
         assert code == 2
         captured = capsys.readouterr()
@@ -124,13 +131,32 @@ class TestBenchCommand:
         assert "REGRESSION" in captured.err
 
     def test_compare_missing_baseline_errors(self, capsys, tmp_path):
+        out = tmp_path / "c.json"
         code = main(
             self.BASE
-            + ["--out", str(tmp_path / "c.json"), "--no-scoreboard",
+            + ["--out", str(out), "--no-scoreboard",
                "--compare", str(tmp_path / "absent.json")]
         )
         assert code == 1
         assert "no such artifact" in capsys.readouterr().err
+        # The baseline is loaded before the sweep: nothing ran.
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["bench", "--micro", "--quick", "--reps", "1", "--no-progress"],
+        ["loadtest", "--requests", "4", "--no-progress"],
+    ],
+    ids=["micro", "loadtest"],
+)
+def test_missing_compare_baseline_fails_before_running(capsys, tmp_path, command):
+    out = tmp_path / "out.json"
+    code = main(command + ["--out", str(out), "--compare", str(tmp_path / "absent.json")])
+    assert code == 1
+    assert "no such artifact" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestObservabilityCommands:

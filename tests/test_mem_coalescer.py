@@ -65,8 +65,9 @@ class TestWarpCoalescer:
         assert result.line_ids.size == result.transactions
 
     def test_bad_sector_bytes_rejected(self):
-        with pytest.raises(SimulationError):
-            coalesce_warp(np.zeros(4, dtype=np.int64), sector_bytes=48)
+        for sector_bytes in (48, 0):
+            with pytest.raises(SimulationError, match="power of two"):
+                coalesce_warp(np.zeros(4, dtype=np.int64), sector_bytes=sector_bytes)
 
     def test_warps_do_not_merge_across_boundary(self):
         # Same sector touched by two different warps -> two transactions.
@@ -128,6 +129,18 @@ class TestStreamCoalescer:
     def test_bad_window_rejected(self):
         with pytest.raises(SimulationError):
             coalesce_stream(np.zeros(4, dtype=np.int64), merge_window=0)
+
+    def test_bad_sector_bytes_rejected(self):
+        # The same validation as the warp coalescer: 48-byte sectors once
+        # ran on 32-byte ids (3 transactions where 48-byte sectors give
+        # 2), and 0 put every request on line 0.
+        for sector_bytes in (48, 0):
+            with pytest.raises(SimulationError, match="power of two"):
+                coalesce_stream(
+                    np.arange(24, dtype=np.int64) * 4,
+                    sector_bytes=sector_bytes,
+                    merge_window=100,
+                )
 
     @given(
         st.lists(st.integers(min_value=0, max_value=1 << 16), min_size=1, max_size=200),

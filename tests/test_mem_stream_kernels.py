@@ -7,13 +7,34 @@ loop that states its meaning, over ordered, reversed, constant and
 random streams.  The whole ``CoalesceResult`` is compared, ``line_ids``
 values, order and dtype included: their order feeds the DRAM row
 locality of every phase.
+
+An ``AddressRange`` is priced in closed form by both coalescers and by
+``MemoryHierarchy.process``.  Those closed forms are pinned against the
+explicit kernels run on the materialised addresses, ``np.asarray(range)``.
 """
 
+import dataclasses
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem import coalesce_stream, coalesce_warp, profile_lines, row_hit_fraction
+from repro.algorithms.runner import execute_request
+from repro.errors import SimulationError
+from repro.mem import (
+    GDDR5,
+    LPDDR4,
+    AddressRange,
+    AddressSpace,
+    MemoryHierarchy,
+    SectorWalk,
+    coalesce_stream,
+    coalesce_warp,
+    profile_lines,
+    row_hit_fraction,
+)
+from repro.request import RunRequest
 
 SHAPES = ("non-decreasing", "non-increasing", "constant", "random")
 
@@ -147,3 +168,187 @@ class TestRowHitPins:
         rows = line_ids // (row_bytes // 32)
         expected = float(np.mean(rows[1:] == rows[:-1]))
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+# -- the closed forms of an AddressRange ------------------------------------
+
+
+@st.composite
+def ranges(draw, sector_bytes):
+    """A walk whose base is sector-aligned or not, whose count is 0, 1,
+    a partial or whole number of warps, and whose stride runs from 1 to
+    past a sector."""
+    base = draw(st.integers(min_value=0, max_value=64)) * sector_bytes
+    if draw(st.booleans()):
+        base += draw(st.integers(min_value=1, max_value=sector_bytes - 1))
+    count = draw(
+        st.one_of(
+            st.sampled_from([0, 1, 31, 32, 33, 64, 96, 97]),
+            st.integers(min_value=0, max_value=400),
+        )
+    )
+    stride = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=sector_bytes),
+            st.sampled_from([1, 4, 8, sector_bytes]),
+            st.integers(min_value=sector_bytes + 1, max_value=3 * sector_bytes),
+        )
+    )
+    return AddressRange(base, count, stride)
+
+
+SECTORS = st.sampled_from([32, 64, 128])
+
+
+def _same_result(got, want):
+    assert got.accesses == want.accesses
+    assert got.transactions == want.transactions
+    assert got.sector_bytes == want.sector_bytes
+    assert got.line_ids.dtype == want.line_ids.dtype == np.int64
+    assert got.line_ids.tolist() == want.line_ids.tolist()
+
+
+def _bits(value):
+    """A float's bytes, so that equal-comparing floats must match bit for bit."""
+    return np.float64(value).tobytes() if isinstance(value, float) else value
+
+
+class TestAddressRange:
+    def test_materialises_as_int64_addresses(self):
+        walk = AddressRange(100, 5, 8)
+        assert np.asarray(walk).dtype == np.int64
+        assert np.asarray(walk).tolist() == [100, 108, 116, 124, 132]
+
+    def test_fields_are_python_ints(self):
+        walk = AddressRange(np.int64(96), np.int64(40), np.int32(4))
+        assert {type(walk.base), type(walk.count), type(walk.stride)} == {int}
+        result = coalesce_warp(walk)
+        assert type(result.accesses) is int and type(result.transactions) is int
+
+    def test_rejects_negative_count_or_stride(self):
+        with pytest.raises(SimulationError):
+            AddressRange(0, -1, 4)
+        with pytest.raises(SimulationError):
+            AddressRange(0, 4, -4)
+
+    def test_span_is_the_addresses_it_replaces(self):
+        space = AddressSpace()
+        offsets = space.alloc("offsets", 101, 4)
+        n = 100
+        nodes = np.arange(n, dtype=np.int64)
+        assert np.asarray(offsets.span()).tolist() == offsets.addresses().tolist()
+        assert np.asarray(offsets.span(0, n)).tolist() == offsets.addresses(nodes).tolist()
+        prefix = offsets.span(1, n)
+        assert prefix.base % 32 == 4  # starts 4 bytes into a sector
+        assert np.asarray(prefix).tolist() == offsets.addresses(nodes + 1).tolist()
+        with pytest.raises(SimulationError):
+            offsets.span(1, 101)
+
+
+class TestRangeCoalescerPins:
+    @given(st.data(), SECTORS, st.sampled_from([1, 4, 32]))
+    @settings(max_examples=400, deadline=None)
+    def test_warp_closed_form_matches_explicit_kernel(self, data, sector_bytes, warp_size):
+        walk = data.draw(ranges(sector_bytes))
+        got = coalesce_warp(walk, warp_size=warp_size, sector_bytes=sector_bytes)
+        want = coalesce_warp(np.asarray(walk), warp_size=warp_size, sector_bytes=sector_bytes)
+        _same_result(got, want)
+
+    @given(st.data(), SECTORS, st.integers(min_value=1, max_value=8))
+    @settings(max_examples=400, deadline=None)
+    def test_stream_closed_form_matches_explicit_kernel(self, data, sector_bytes, window):
+        walk = data.draw(ranges(sector_bytes))
+        got = coalesce_stream(walk, merge_window=window, sector_bytes=sector_bytes)
+        want = coalesce_stream(np.asarray(walk), merge_window=window, sector_bytes=sector_bytes)
+        _same_result(got, want)
+
+    def test_in_order_walks_take_the_closed_form(self):
+        walk = AddressRange(4, 1000, 4)
+        assert isinstance(coalesce_warp(walk).sectors, SectorWalk)
+        assert isinstance(coalesce_stream(walk, merge_window=8).sectors, SectorWalk)
+        # Wider strides and masked lanes take the explicit kernels.
+        assert coalesce_warp(AddressRange(0, 10, 64)).walk is None
+        mask = np.ones(1000, dtype=bool)
+        assert coalesce_warp(walk, active_mask=mask).walk is None
+
+    def test_masked_range_matches_explicit_kernel(self):
+        walk = AddressRange(12, 300, 4)
+        mask = np.random.default_rng(5).random(300) < 0.6
+        got = coalesce_warp(walk, active_mask=mask)
+        _same_result(got, coalesce_warp(np.asarray(walk), active_mask=mask))
+
+
+class TestRangeHierarchyPins:
+    @given(
+        st.data(),
+        SECTORS,
+        st.sampled_from(["warp", "stream"]),
+        st.sampled_from([GDDR5, LPDDR4]),
+        st.sampled_from([256, 2048, 4096]),
+        st.sampled_from([32, 128]),
+        st.sampled_from([512, 16 * 1024, 2 << 20]),
+        st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_process_matches_explicit_ids_bit_for_bit(
+        self, data, sector_bytes, coalescer, dram, row_bytes, line_bytes, l2_bytes, bypass
+    ):
+        walk = data.draw(ranges(sector_bytes))
+        if coalescer == "warp":
+            warp_size = data.draw(st.sampled_from([1, 4, 32]))
+
+            def run(addresses):
+                return coalesce_warp(addresses, warp_size=warp_size, sector_bytes=sector_bytes)
+        else:
+            window = data.draw(st.integers(min_value=1, max_value=8))
+
+            def run(addresses):
+                return coalesce_stream(addresses, merge_window=window, sector_bytes=sector_bytes)
+        hierarchy = MemoryHierarchy(
+            l2_capacity_bytes=l2_bytes,
+            dram=dataclasses.replace(dram, row_bytes=row_bytes),
+            l2_line_bytes=line_bytes,
+        )
+        got_result, want_result = run(walk), run(np.asarray(walk))
+        if line_bytes < sector_bytes and want_result.transactions:
+            with pytest.raises(SimulationError) as want_error:
+                hierarchy.process(want_result, l2_bypass=bypass)
+            with pytest.raises(SimulationError) as got_error:
+                hierarchy.process(got_result, l2_bypass=bypass)
+            assert str(got_error.value) == str(want_error.value)
+            return
+        got = hierarchy.process(got_result, l2_bypass=bypass)
+        want = hierarchy.process(want_result, l2_bypass=bypass)
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert type(a) is type(b) and _bits(a) == _bits(b), field.name
+        assert _bits(hierarchy.dram_time_s(got)) == _bits(hierarchy.dram_time_s(want))
+        assert _bits(hierarchy.dram_dynamic_energy_j(got)) == _bits(
+            hierarchy.dram_dynamic_energy_j(want)
+        )
+
+    @given(st.data(), SECTORS, st.sampled_from([256, 2048, 4096]))
+    @settings(max_examples=200, deadline=None)
+    def test_row_hit_fraction_of_a_walk_is_its_ids(self, data, sector_bytes, row_bytes):
+        walk = data.draw(ranges(sector_bytes))
+        result = coalesce_warp(walk, sector_bytes=sector_bytes)
+        got = row_hit_fraction(result.sectors, row_bytes=row_bytes, sector_bytes=sector_bytes)
+        want = row_hit_fraction(result.line_ids, row_bytes=row_bytes, sector_bytes=sector_bytes)
+        assert type(got) is float and _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize(
+    "algorithm,mode",
+    [("pagerank", "gpu"), ("pagerank", "scu-basic"), ("bfs", "iru"), ("bfs", "scu-enhanced")],
+)
+def test_requests_never_materialise_a_range_untraced(monkeypatch, algorithm, mode):
+    """Every range a request builds is priced in closed form: none is
+    turned into an address array, and no walk's line ids are built."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a range was materialised")
+
+    monkeypatch.setattr(AddressRange, "__array__", refuse)
+    monkeypatch.setattr(SectorWalk, "line_ids", refuse)
+    request = RunRequest.make(algorithm, "human", "TX1", mode, seed=42)
+    assert execute_request(request).report.time_s() > 0

@@ -10,7 +10,9 @@ drain-on-shutdown.
 
 import http.client
 import json
+import socket
 import statistics
+import struct
 import threading
 import time
 import urllib.error
@@ -40,6 +42,7 @@ from repro.serve import (
     make_server,
     run_response,
 )
+from repro.serve.server import RequestHandler
 
 REQUEST_BODY = json.dumps(
     {"algorithm": "bfs", "dataset": "human", "gpu": "TX1", "mode": "scu-enhanced"}
@@ -554,6 +557,55 @@ class TestDrain:
             httpd.shutdown()
             httpd.server_close()
             clear_run_cache()
+
+
+def _wait_until(predicate, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+class TestSlowClients:
+    """A client that stops mid-body must not hold ``drain()`` open: its
+    request is journaled as a 400 and stops counting as in flight."""
+
+    @staticmethod
+    def _send_part_of_a_body(service, base):
+        url = urllib.parse.urlsplit(base)
+        client = socket.create_connection((url.hostname, url.port), timeout=10.0)
+        client.sendall(
+            b"POST /run HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\nContent-Length: 100\r\n\r\n"
+            b'{"algo'
+        )
+        _wait_until(lambda: service._http_inflight == 1)
+        return client
+
+    @staticmethod
+    def _journal(service):
+        return [(r["outcome"], r["status"]) for r in service.journal.tail(None)]
+
+    def test_reset_mid_body_is_finished_and_drains(self, served):
+        service, base = served
+        client = self._send_part_of_a_body(service, base)
+        # Linger 0: close() sends a reset instead of a FIN.
+        client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        client.close()
+        assert service.drain(timeout_s=5.0) is True
+        assert self._journal(service) == [("bad-request", 400)]
+
+    def test_stall_mid_body_times_out_and_drains(self, served, monkeypatch):
+        monkeypatch.setattr(RequestHandler, "timeout", 0.3)
+        service, base = served
+        client = self._send_part_of_a_body(service, base)
+        try:
+            assert service.drain(timeout_s=5.0) is True
+            assert self._journal(service) == [("bad-request", 400)]
+            # The stalled client is still there, so it is answered.
+            assert client.recv(4096).startswith(b"HTTP/1.1 400 ")
+        finally:
+            client.close()
 
 
 # ---------------------------------------------------------------------------
