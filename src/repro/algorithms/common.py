@@ -2,7 +2,10 @@
 
 Holds the system-variant enum, the per-kernel instruction-cost constants
 (modeling the CUDA implementations the paper builds on), the GPU-side
-warp-culling model, and the device placement of a CSR graph.
+duplicate-culling models (:func:`warp_cull`, :func:`best_effort_cull`,
+each pinned to a plain-loop ``*_reference``; both sort with
+:func:`~repro.core.ops.stable_order`), and the device placement of a CSR
+graph.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 from ..backends.modes import SystemMode
 from ..core.api import ScuSystem
 from ..core.energy import scu_static_power_w
+from ..core.ops import stable_order
 from ..gpu.energy import system_static_power_w
 from ..graph.csr import CsrGraph
 from ..mem.address_space import DeviceArray
@@ -95,29 +99,53 @@ def best_effort_cull(
       far-apart duplicates;
     * duplicates in the band between race and survive — the false
       negatives the SCU's hash filtering later removes.
+
+    :func:`best_effort_cull_reference` is the written spec.  Sorted
+    stably by id, each id's copies form one run in stream order: a
+    copy's previous copy sits just before it, its first copy at the
+    run's start.
     """
     ids = np.asarray(ids, dtype=np.int64)
     n = ids.size
     if n == 0:
         return np.zeros(0, dtype=bool)
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    group_start = np.ones(n, dtype=bool)
-    group_start[1:] = sorted_ids[1:] != sorted_ids[:-1]
-    far_away = -(10 * n)  # sentinel: "no previous copy"
-    prev_index = np.empty(n, dtype=np.int64)
-    prev_index[order[0]] = far_away
-    prev_index[order[1:]] = np.where(group_start[1:], far_away, order[:-1])
-    starts = np.nonzero(group_start)[0]
-    lengths = np.diff(np.append(starts, n))
-    first_per_sorted = np.repeat(order[starts], lengths)
-    first_index = np.empty(n, dtype=np.int64)
-    first_index[order] = first_per_sorted
-    indices = np.arange(n, dtype=np.int64)
-    is_first = indices == first_index
-    caught_by_history = (indices - prev_index) < history
-    caught_by_bitmask = (indices - first_index) >= visibility
-    return is_first | (~caught_by_history & ~caught_by_bitmask)
+    order, sorted_ids = stable_order(ids)
+    run_start = np.ones(n, dtype=bool)
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=run_start[1:])
+    previous = np.empty(n, dtype=np.int64)
+    previous[0] = 0  # position 0 starts a run: kept whatever it reads
+    previous[1:] = order[:-1]
+    starts = np.flatnonzero(run_start)
+    first = np.repeat(order[starts], np.diff(np.append(starts, n)))
+    keep_sorted = run_start | (
+        (order - previous >= history) & (order - first < visibility)
+    )
+    keep = np.empty(n, dtype=bool)
+    keep[order] = keep_sorted
+    return keep
+
+
+def best_effort_cull_reference(
+    ids: np.ndarray, *, history: int = HISTORY_CULL_WINDOW, visibility: int = VISIBILITY_WINDOW
+) -> np.ndarray:
+    """Plain-loop spec of :func:`best_effort_cull`.
+
+    A first copy is kept.  A later copy is kept only when the history
+    hash has lost its previous copy (``history`` or more positions back)
+    and the visited bit of its first copy is not yet visible (fewer than
+    ``visibility`` positions back).
+    """
+    first: dict[int, int] = {}
+    latest: dict[int, int] = {}
+    keep = np.zeros(len(ids), dtype=bool)
+    for i, node in enumerate(np.asarray(ids, dtype=np.int64).tolist()):
+        if node not in first:
+            first[node] = i
+            keep[i] = True
+        else:
+            keep[i] = i - latest[node] >= history and i - first[node] < visibility
+        latest[node] = i
+    return keep
 
 
 def warp_cull(ids: np.ndarray, *, window: int = 32) -> np.ndarray:
@@ -128,22 +156,38 @@ def warp_cull(ids: np.ndarray, *, window: int = 32) -> np.ndarray:
     the frontier survive — the "best-effort" filtering whose leftovers
     the SCU's hash filtering removes.  Deterministic model: within every
     consecutive ``window`` elements, only the first copy of a value is
-    kept.
+    kept (:func:`warp_cull_reference` is the written spec).
+
+    Each window is one row of keys ``id + 1``, sorted stably along the
+    row, so a value's first copy starts its run.  The last row is padded
+    with key 0 after its real lanes; the padding's marks are dropped.
     """
     ids = np.asarray(ids, dtype=np.int64)
     n = ids.size
     if n == 0:
         return np.zeros(0, dtype=bool)
-    pad = (-n) % window
-    padded = np.concatenate([ids, np.full(pad, -1, dtype=np.int64)]) if pad else ids
-    grid = padded.reshape(-1, window)
-    order = np.argsort(grid, axis=1, kind="stable")
-    sorted_vals = np.take_along_axis(grid, order, axis=1)
-    first = np.ones_like(sorted_vals, dtype=bool)
-    first[:, 1:] = sorted_vals[:, 1:] != sorted_vals[:, :-1]
-    keep_grid = np.empty_like(first)
-    np.put_along_axis(keep_grid, order, first, axis=1)
-    keep = keep_grid.reshape(-1)[:n]
+    keys = np.zeros(n + (-n) % window, dtype=np.int64)
+    np.add(ids, 1, out=keys[:n])
+    order, sorted_keys = stable_order(keys.reshape(-1, window))
+    first = np.ones(order.shape, dtype=bool)
+    np.not_equal(sorted_keys[:, 1:], sorted_keys[:, :-1], out=first[:, 1:])
+    order += np.arange(0, keys.size, window, dtype=np.int64)[:, None]
+    keep = np.empty(keys.size, dtype=bool)
+    keep[order.ravel()] = first.ravel()
+    return keep[:n]
+
+
+def warp_cull_reference(ids: np.ndarray, *, window: int = 32) -> np.ndarray:
+    """Plain-loop spec of :func:`warp_cull`: per consecutive ``window``
+    elements, the first copy of each value is kept."""
+    values = np.asarray(ids, dtype=np.int64).tolist()
+    keep = np.zeros(len(values), dtype=bool)
+    for start in range(0, len(values), window):
+        seen: set[int] = set()
+        for i in range(start, min(start + window, len(values))):
+            if values[i] not in seen:
+                seen.add(values[i])
+                keep[i] = True
     return keep
 
 

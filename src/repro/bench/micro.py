@@ -7,8 +7,9 @@ replay hides inside a cell whose wall clock is dominated by expansion.
 The micro suite times the individual vectorized kernels (DRAM batch
 replay, unique filtering, grouping, warp/stream coalescing, LRU cache
 replay, CC labelling, L2 reuse profiling, closed-form pricing of
-sequential walks through the memory hierarchy) on fixed-seed synthetic
-inputs and writes the same style of schema-versioned artifact, so
+sequential walks through the memory hierarchy, the GPU's best-effort and
+warp duplicate culls) on fixed-seed synthetic inputs and writes the
+same style of schema-versioned artifact, so
 ``--compare`` against the committed ``benchmarks/baseline_micro.json``
 gates future kernel work through the existing exit-2 path.
 
@@ -44,6 +45,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..algorithms import connected_components_labels, connected_components_reference
+from ..algorithms.common import (
+    best_effort_cull,
+    best_effort_cull_reference,
+    warp_cull,
+    warp_cull_reference,
+)
 from ..core.batch import (
     data_compaction_batch,
     filter_unique_batch,
@@ -52,10 +59,11 @@ from ..core.batch import (
 from ..core.config import HashTableConfig
 from ..core.filtering import filter_unique, filter_unique_reference
 from ..core.grouping import group_order, group_order_reference
-from ..core.ops import data_compaction
+from ..core.ops import data_compaction, expanded_indices
 from ..errors import BenchError
 from ..gpu.config import TX1
 from ..graph.csr import CsrGraph
+from ..graph.generators import generate_kron
 from ..mem.address_space import AddressSpace
 from ..mem.cache import SetAssociativeCache
 from ..mem.coalescer import coalesce_stream, coalesce_warp
@@ -369,10 +377,11 @@ def _hierarchy_prices(walks) -> Dict[str, float]:
     """Every walk through the warp coalescer and the SCU's 8-element
     window, then the TX1's L2 and DRAM.  Floats compare bit for bit."""
     hierarchy = MemoryHierarchy(l2_capacity_bytes=TX1.l2_bytes, dram=TX1.dram)
-    total = MemoryStats()
-    for walk in walks:
-        for result in (coalesce_warp(walk), coalesce_stream(walk, merge_window=8)):
-            total = total.merged(hierarchy.process(result))
+    total = MemoryStats.fold(
+        hierarchy.process(result)
+        for walk in walks
+        for result in (coalesce_warp(walk), coalesce_stream(walk, merge_window=8))
+    )
     return {
         "transactions": float(total.transactions),
         "l2_hits": float(total.l2_hits),
@@ -387,6 +396,36 @@ def _hierarchy_run(inputs: Dict[str, Any]) -> Dict[str, float]:
 
 def _hierarchy_reference(inputs: Dict[str, Any]) -> Dict[str, float]:
     return _hierarchy_prices([np.asarray(walk) for walk in inputs["walks"]])
+
+
+def _cull_inputs(quick: bool) -> Tuple[int, Dict[str, Any]]:
+    # A kron-shaped BFS edge frontier: the adjacency lists of 40% of a
+    # Graph500 graph's nodes in a random (discovery-like) order, so
+    # destinations are skewed toward hubs and repeat near and far apart.
+    graph = generate_kron(scale=12 if quick else 14, edge_factor=16, seed=2034)
+    rng = np.random.default_rng(2034)
+    nodes = rng.permutation(graph.num_nodes)[: int(0.4 * graph.num_nodes)]
+    ids = graph.edges[expanded_indices(graph.offsets[nodes], graph.out_degrees[nodes])]
+    return int(ids.size), {"ids": ids}
+
+
+def _cull_checks(best_effort: np.ndarray, warp: np.ndarray) -> Dict[str, float]:
+    return {
+        "best_effort_kept": float(best_effort.sum()),
+        "best_effort_digest": float(_perm_digest(best_effort.astype(np.int64))),
+        "warp_kept": float(warp.sum()),
+        "warp_digest": float(_perm_digest(warp.astype(np.int64))),
+    }
+
+
+def _cull_run(inputs: Dict[str, Any]) -> Dict[str, float]:
+    return _cull_checks(best_effort_cull(inputs["ids"]), warp_cull(inputs["ids"]))
+
+
+def _cull_reference(inputs: Dict[str, Any]) -> Dict[str, float]:
+    return _cull_checks(
+        best_effort_cull_reference(inputs["ids"]), warp_cull_reference(inputs["ids"])
+    )
 
 
 def _cache_inputs(quick: bool) -> Tuple[int, Dict[str, Any]]:
@@ -533,6 +572,7 @@ MICRO_KERNELS: Tuple[MicroKernel, ...] = (
     MicroKernel(
         "hierarchy.process", _hierarchy_inputs, _hierarchy_run, _hierarchy_reference
     ),
+    MicroKernel("cull.best_effort", _cull_inputs, _cull_run, _cull_reference),
 )
 
 MICRO_KERNEL_NAMES: Tuple[str, ...] = tuple(k.name for k in MICRO_KERNELS)

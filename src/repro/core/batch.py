@@ -3,28 +3,19 @@
 A *batch* is a ragged stack of per-request streams stored as one
 concatenated ``values`` array plus an int64 ``offsets`` array of length
 ``B + 1`` (row ``r`` is ``values[offsets[r]:offsets[r + 1]]``).  Every
-kernel here processes all rows in **one** NumPy pass — one argsort, one
-scan, one scatter for the whole batch — and is pinned byte-identical,
+kernel here processes all rows in **one** NumPy pass — one keyed sort,
+one scan, one scatter for the whole batch — and is pinned byte-identical,
 row by row, to the scalar kernels in :mod:`repro.core.filtering`,
 :mod:`repro.core.grouping`, and :mod:`repro.core.ops`.
 
 The fusion trick is the composite sort key ``row * K + local_key`` with
-``K`` an upper bound on the local key: a single stable argsort over the
-composite key yields, inside each row, exactly the stable slot-sort the
-scalar kernels perform, while keeping rows contiguous.  Row boundaries
+``K`` an upper bound on the local key: a single stable sort
+(:func:`~repro.core.ops.stable_order`) over the composite key yields,
+inside each row, exactly the stable slot-sort the scalar kernels
+perform, while keeping rows contiguous.  Row boundaries
 always coincide with composite-key changes, so the run-boundary logic
 (``new_slot`` / ``segment_start`` / ``new_block``) needs no extra
 boundary handling.
-
-One deliberate divergence: the scalar best-cost filter offsets float
-costs by per-call multiples of a float span, a round-trip that is only
-exact for "tame" costs (the integer-valued distances the drivers
-produce).  Exactness here must not depend on batch composition — the
-same request has to produce the same bits whether it is batched with 0
-or 31 neighbours — so the batched filter compares *integer ranks* of
-the costs (``np.unique`` inverse indices): strict ``<`` on ranks is
-strict ``<`` on costs, and the segment-offset arithmetic stays in exact
-int64.  This is precisely the dict reference's semantics.
 """
 
 from __future__ import annotations
@@ -35,8 +26,9 @@ import numpy as np
 
 from ..errors import OperationError
 from .config import HashTableConfig
+from .filtering import improves_in_segment
 from .hashtable import hash_slots
-from .ops import exclusive_scan
+from .ops import exclusive_scan, stable_order
 
 __all__ = [
     "batch_offsets",
@@ -139,8 +131,7 @@ def filter_unique_batch(
     entries = np.int64(table.num_entries)
     slots = hash_slots(ids, table.num_entries)
     key = _row_ids(offsets) * entries + slots
-    order = np.argsort(key, kind="stable")
-    key_sorted = key[order]
+    order, key_sorted = stable_order(key)
     ids_sorted = ids[order]
     # A row boundary always changes the composite key, so new_slot is
     # forced True there and rows cannot contaminate each other.
@@ -162,9 +153,10 @@ def filter_best_cost_batch(
 ) -> np.ndarray:
     """Batched unique-best-cost filtering; one keep bitmask over all rows.
 
-    Strict-improvement comparisons run on integer *ranks* of the costs,
-    so the result is exact (the dict reference's semantics) regardless
-    of how rows are batched together — see the module docstring.
+    Row ``r`` of the result is byte-identical to
+    ``filter_best_cost(ids[offsets[r]:offsets[r+1]], ...)``: both compare
+    integer cost ranks (:func:`~repro.core.filtering.improves_in_segment`),
+    and ranks over the whole batch order each row's costs as its own do.
     """
     ids, offsets = _check_batch(np.asarray(ids, dtype=np.int64), offsets)
     costs = np.asarray(costs, dtype=np.float64)
@@ -175,8 +167,7 @@ def filter_best_cost_batch(
     entries = np.int64(table.num_entries)
     slots = hash_slots(ids, table.num_entries)
     key = _row_ids(offsets) * entries + slots
-    order = np.argsort(key, kind="stable")
-    key_sorted = key[order]
+    order, key_sorted = stable_order(key)
     ids_sorted = ids[order]
     # Segments: maximal runs where one id continuously owns one entry of
     # one row's table.  Row boundaries change the key, breaking segments.
@@ -184,34 +175,10 @@ def filter_best_cost_batch(
     segment_start[1:] = (key_sorted[1:] != key_sorted[:-1]) | (
         ids_sorted[1:] != ids_sorted[:-1]
     )
-    ranks = np.unique(costs[order], return_inverse=True)[1].astype(np.int64)
-    keep_sorted = ranks < _segmented_prev_cummin_ranks(ranks, segment_start)
+    keep_sorted = improves_in_segment(costs[order], segment_start)
     keep = np.empty(ids.size, dtype=bool)
     keep[order] = keep_sorted
     return keep
-
-
-def _segmented_prev_cummin_ranks(
-    ranks: np.ndarray, segment_start: np.ndarray
-) -> np.ndarray:
-    """Exact segmented prefix-min of integer ranks (min of *earlier* values).
-
-    The same offset-then-cummin trick as the scalar filter, but in int64
-    where the shift round-trip is exact.  Segment firsts get ``num_ranks``
-    (one past the largest rank — the integer stand-in for ``+inf``).
-    """
-    num_ranks = np.int64(ranks.max()) + 1 if ranks.size else np.int64(0)
-    seg_id = np.cumsum(segment_start) - 1
-    num_segments = np.int64(seg_id[-1]) + 1
-    span = num_ranks + 1
-    shift = (num_segments - seg_id) * span
-    cummin = np.minimum.accumulate(ranks + shift)
-    prev = np.empty_like(cummin)
-    prev[0] = 0  # overwritten below: position 0 is always a segment start
-    prev[1:] = cummin[:-1]
-    prev_rank = prev - shift
-    prev_rank[segment_start] = num_ranks
-    return prev_rank
 
 
 def group_order_batch(
@@ -244,8 +211,7 @@ def group_order_batch(
     entries = np.int64(table.num_entries)
     slots = hash_slots(blocks, table.num_entries)
     key = row * entries + slots
-    order = np.argsort(key, kind="stable")
-    key_sorted = key[order]
+    order, key_sorted = stable_order(key)
     blocks_sorted = blocks[order]
 
     indices = np.arange(n, dtype=np.int64)
@@ -281,7 +247,7 @@ def group_order_batch(
         sizes[row_of_group] + slot_of_group,
     )
     base = np.int64(sizes.max()) + entries
-    group_rank = np.argsort(row_of_group * base + local_key, kind="stable")
+    group_rank = stable_order(row_of_group * base + local_key)[0]
 
     group_sizes = next_first - first_of_group
     sorted_sizes = group_sizes[group_rank]

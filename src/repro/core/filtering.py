@@ -19,8 +19,12 @@ form makes million-element frontiers tractable in Python.
 The vectorization relies on an observation about the overwrite
 discipline: the table state seen by element *i* at its slot is fully
 determined by the *previous element mapping to the same slot*.  Sorting
-(stably) by slot therefore turns the table walk into run-boundary
-comparisons.
+(stably, with :func:`~repro.core.ops.stable_order`) by slot therefore
+turns the table walk into run-boundary comparisons.  The best-cost
+scheme then needs, per run of one id, the minimum of the earlier costs:
+an exact segmented prefix-min over the costs' integer ranks, shared with
+the batched filter, so fractional and infinite costs filter exactly as
+the reference does.
 """
 
 from __future__ import annotations
@@ -31,29 +35,32 @@ from ..errors import OperationError
 from ..obs import NULL_OBS, Observability
 from .config import HashTableConfig
 from .hashtable import hash_slots
+from .ops import stable_order
 
 
-def _segmented_prev_cummin(costs: np.ndarray, segment_start: np.ndarray) -> np.ndarray:
-    """For each position, the min of *earlier* values in its segment.
+def improves_in_segment(costs: np.ndarray, segment_start: np.ndarray) -> np.ndarray:
+    """True where a cost is strictly below every earlier cost of its segment.
 
-    ``segment_start`` marks the first element of each segment.  The first
-    element of a segment gets ``+inf`` (no predecessor).
+    ``segment_start`` marks the first element of each segment, which
+    always improves.  The comparisons run on the costs' integer ranks
+    (``np.unique`` inverse indices): strict ``<`` on ranks is strict
+    ``<`` on costs, fractional and infinite costs included.  The
+    segmented prefix-min offsets each segment by a multiple of the rank
+    span, so earlier segments, strictly larger after the shift, cannot
+    reach a later segment's running minimum; in int64 the shift
+    round-trip is exact.
     """
-    if costs.size == 0:
-        return costs.copy()
-    # Offset each segment so earlier segments cannot contaminate the
-    # running minimum (they are strictly larger after the shift).
+    ranks = np.unique(costs, return_inverse=True)[1].astype(np.int64, copy=False)
+    num_ranks = np.int64(ranks.max()) + 1  # the integer stand-in for +inf
     seg_id = np.cumsum(segment_start) - 1
-    num_segments = int(seg_id[-1]) + 1
-    span = float(np.max(costs) - np.min(costs)) + 1.0
-    shifted = costs + (num_segments - seg_id) * span
-    cummin = np.minimum.accumulate(shifted)
-    prev = np.empty_like(cummin)
-    prev[0] = np.inf
-    prev[1:] = cummin[:-1]
-    prev_in_segment = prev - (num_segments - seg_id) * span
-    prev_in_segment[segment_start] = np.inf
-    return prev_in_segment
+    shift = (seg_id[-1] + 1 - seg_id) * (num_ranks + 1)
+    cummin = np.minimum.accumulate(ranks + shift)
+    prev_best = np.empty_like(cummin)
+    prev_best[0] = 0  # overwritten below: position 0 is always a segment start
+    prev_best[1:] = cummin[:-1]
+    prev_best -= shift
+    prev_best[segment_start] = num_ranks
+    return ranks < prev_best
 
 
 def filter_unique(
@@ -66,8 +73,7 @@ def filter_unique(
     if ids.size == 0:
         return np.zeros(0, dtype=bool)
     slots = hash_slots(ids, table.num_entries)
-    order = np.argsort(slots, kind="stable")
-    slots_sorted = slots[order]
+    order, slots_sorted = stable_order(slots)
     ids_sorted = ids[order]
     new_slot = np.ones(ids.size, dtype=bool)
     new_slot[1:] = slots_sorted[1:] != slots_sorted[:-1]
@@ -132,18 +138,15 @@ def filter_best_cost(
     if ids.size == 0:
         return np.zeros(0, dtype=bool)
     slots = hash_slots(ids, table.num_entries)
-    order = np.argsort(slots, kind="stable")
-    slots_sorted = slots[order]
+    order, slots_sorted = stable_order(slots)
     ids_sorted = ids[order]
-    costs_sorted = costs[order]
     # A "segment" is a maximal run where the entry continuously holds the
     # same id: it breaks when the slot changes or a different id evicts.
     segment_start = np.ones(ids.size, dtype=bool)
     segment_start[1:] = (slots_sorted[1:] != slots_sorted[:-1]) | (
         ids_sorted[1:] != ids_sorted[:-1]
     )
-    prev_best = _segmented_prev_cummin(costs_sorted, segment_start)
-    keep_sorted = costs_sorted < prev_best
+    keep_sorted = improves_in_segment(costs[order], segment_start)
     keep = np.empty(ids.size, dtype=bool)
     keep[order] = keep_sorted
     _record_filter_metrics(obs, "best_cost", table, slots, keep)

@@ -28,6 +28,7 @@ from ..errors import OperationError
 from ..obs import NULL_OBS, Observability
 from .config import HashTableConfig
 from .hashtable import hash_slots
+from .ops import stable_order
 
 
 def group_order(
@@ -57,8 +58,7 @@ def group_order(
         return np.empty(0, dtype=np.int64)
 
     slots = hash_slots(blocks, table.num_entries)
-    order = np.argsort(slots, kind="stable")
-    slots_sorted = slots[order]
+    order, slots_sorted = stable_order(slots)
     blocks_sorted = blocks[order]
 
     indices = np.arange(n, dtype=np.int64)
@@ -72,7 +72,6 @@ def group_order(
     run_start_index = np.maximum.accumulate(np.where(new_block, indices, 0))
     position_in_run = indices - run_start_index
     group_boundary = new_block | (position_in_run % group_size == 0)
-    group_id = np.cumsum(group_boundary) - 1
 
     first_of_group = np.nonzero(group_boundary)[0]
     next_first = np.append(first_of_group[1:], n)
@@ -95,7 +94,7 @@ def group_order(
     # a contiguous run of the slot-sorted array already in stream order,
     # so sorting the *groups* and gathering their ragged segments is
     # equivalent to a full lexsort over all n elements.
-    group_rank = np.argsort(eviction_key, kind="stable")
+    group_rank = stable_order(eviction_key)[0]
     sizes = next_first - first_of_group
     sorted_sizes = sizes[group_rank]
     segment_id = np.repeat(np.arange(group_rank.size, dtype=np.int64), sorted_sizes)

@@ -8,6 +8,11 @@ independently property-tested.
 
 Comparison operators for the Bitmask Constructor are the six integer
 comparisons the hardware comparator implements.
+
+:func:`stable_order` is the keyed-order kernel behind every hash-table
+model (filtering, grouping, their batched forms) and the GPU's culling
+heuristics: the stable sort by slot, id or composite key that turns a
+sequential table walk into run-boundary comparisons.
 """
 
 from __future__ import annotations
@@ -66,6 +71,38 @@ def exclusive_scan(values: np.ndarray) -> np.ndarray:
     out = np.zeros(arr.size, dtype=np.int64)
     np.cumsum(arr[:-1], out=out[1:])
     return out
+
+
+def stable_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, sorted keys)`` of a stable sort along the last axis.
+
+    ``order`` is ``np.argsort(keys, axis=-1, kind="stable")``, which
+    stays the spec; the sorted keys are ``keys`` taken along ``order``.
+    Non-negative integer keys that leave room for the ``s =
+    n.bit_length()`` position bits in an int64 (``n`` the last axis's
+    length) sort as one in-place ``np.sort`` of ``key << s | position``:
+    every packed value is distinct, so the unstable sort is the stable
+    order, and it splits back into ``packed >> s`` and ``packed & mask``.
+    """
+    keys = np.asarray(keys)
+    n = keys.shape[-1]
+    shift = n.bit_length()
+    # The OR of all keys is below 2**(63 - shift) exactly when every key
+    # is non-negative (no sign bit set) and below that limit.
+    if (
+        keys.dtype.kind in "iu"
+        and keys.size
+        and int(np.bitwise_or.reduce(keys, axis=None)) >> (63 - shift) == 0
+    ):
+        packed = keys.astype(np.int64)
+        packed <<= shift
+        packed |= np.arange(n, dtype=np.int64)
+        packed.sort(axis=-1)
+        order = packed & ((1 << shift) - 1)
+        packed >>= shift
+        return order, packed.astype(keys.dtype, copy=False)
+    order = np.argsort(keys, axis=-1, kind="stable")
+    return order, np.take_along_axis(keys, order, axis=-1)
 
 
 def compaction_addresses(bitmask: np.ndarray) -> np.ndarray:

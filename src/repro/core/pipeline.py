@@ -73,19 +73,21 @@ def streams_memory_stats(
 ) -> tuple[MemoryStats, float]:
     """Coalesce and price every stream of one operation.
 
-    Returns the merged statistics plus the serialized-drain DRAM time
-    (per-stream sum — the same interleaving argument as the GPU device:
-    random hash probes break the sequential walks' row locality).
+    Returns the streams' statistics, folded in stream order
+    (:meth:`~repro.mem.hierarchy.MemoryStats.fold`), plus the
+    serialized-drain DRAM time (per-stream sum — the same interleaving
+    argument as the GPU device: random hash probes break the sequential
+    walks' row locality).
     ``obs`` records each stream's coalescing behaviour by role, which is
     how hash-probe scatter shows up next to sequential walks.
     """
-    total = MemoryStats()
+    parts = []
     dram_s = 0.0
     for stream in streams:
         result = coalesce_scu_stream(stream, config)
         stats = hierarchy.process(result)
         dram_s += hierarchy.dram_time_s(stats)
-        total = total.merged(stats)
+        parts.append(stats)
         if obs.enabled and stats.transactions:
             metrics = obs.metrics
             metrics.counter("scu.stream.transactions").inc(
@@ -94,7 +96,7 @@ def streams_memory_stats(
             metrics.histogram("scu.stream.coalesce_factor").observe(
                 stats.coalescing_factor, role=stream.role
             )
-    return total, dram_s
+    return MemoryStats.fold(parts), dram_s
 
 
 # -- stream builders, one vocabulary shared by all operations ---------------

@@ -74,7 +74,7 @@ class GpuDevice:
         with tracer.span(
             spec.name, "gpu-kernel", **(spec.trace_args() if tracer.enabled else {})
         ) as span:
-            memory = MemoryStats()
+            parts = []
             dram_s = 0.0
             iru_elements = 0
             for stream in spec.accesses:
@@ -98,7 +98,8 @@ class GpuDevice:
                 result = coalesce_warp(addresses, active_mask=active_mask)
                 stats = self.hierarchy.process(result, l2_bypass=stream.l2_bypass)
                 dram_s += self.hierarchy.dram_time_s(stats)
-                memory = memory.merged(stats)
+                parts.append(stats)
+            memory = MemoryStats.fold(parts)
             iru_overhead_s = 0.0
             iru_energy_j = 0.0
             if iru_elements:

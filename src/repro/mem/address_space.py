@@ -41,7 +41,9 @@ class AddressRange:
         # Python ints: counts priced from a range feed reports exactly
         # like the explicit kernels' ``int`` counts.
         for name in ("base", "count", "stride"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+            value = getattr(self, name)
+            if type(value) is not int:
+                object.__setattr__(self, name, int(value))
         if self.count < 0 or self.stride < 0:
             raise SimulationError(
                 f"address range needs a non-negative count and stride, "

@@ -22,11 +22,17 @@ An in-order walk passed as an
 :class:`~repro.mem.address_space.AddressRange` with
 ``0 < stride <= sector_bytes`` issues every sector from its first
 address's to its last's.  Both coalescers price it in closed form, as a
-:class:`SectorWalk`: the warp coalescer looks only at warp starts, the
-stream coalescer only at per-sector runs (and not even those when no
-sector holds more than a window).  Its ``line_ids`` are built only when
-read.  Gathers, hash probes, masked streams and wider strides take the
-explicit kernels, which stay the spec the closed forms are pinned to.
+:class:`SectorWalk`.  The warp coalescer does so when a warp spans a
+whole number of sectors (``warp_size * stride``; the simulator's walks,
+32 lanes over 4- or 8-byte elements, all do): every warp then starts at
+the same offset within its sector, so either every warp start repeats
+its predecessor's sector (offset >= stride) or none does, and the
+repeats form one arithmetic progression.  The stream coalescer looks
+only at per-sector runs (and not even those when no sector holds more
+than a window).  A walk's ``line_ids`` are built only when read.
+Gathers, hash probes, masked streams, wider strides and walks whose warp
+span is not whole sectors take the explicit kernels, which stay the spec
+the closed forms are pinned to.
 """
 
 from __future__ import annotations
@@ -180,17 +186,24 @@ def coalesce_warp(
     if warp_size <= 0:
         raise SimulationError(f"warp_size must be positive, got {warp_size}")
     shift = _sector_shift(sector_bytes)
-    if active_mask is None and _is_sector_walk(addresses, sector_bytes):
+    if (
+        active_mask is None
+        and _is_sector_walk(addresses, sector_bytes)
+        and (warp_size * addresses.stride) & (sector_bytes - 1) == 0
+    ):
         # Lanes arrive sorted: one transaction per sector, plus one per
-        # warp start that does not begin a new sector.
+        # warp start that does not begin a new sector.  A warp spans
+        # whole sectors, so every warp starts at the base's offset within
+        # its sector: either every start repeats the previous lane's
+        # sector (offset >= stride) or none does.
+        base, count, stride = addresses.base, addresses.count, addresses.stride
         first, last = _walk_ends(addresses, shift)
-        starts = np.arange(warp_size, addresses.count, warp_size, dtype=np.int64)
-        starts *= addresses.stride
-        starts += addresses.base
-        sectors = starts >> shift
-        repeats = sectors[sectors == (starts - addresses.stride) >> shift]
+        # Warp k >= 1 starts in sector first + k * step.
+        repeated = (count - 1) // warp_size if base & (sector_bytes - 1) >= stride else 0
+        step = (warp_size * stride) >> shift
+        repeats = np.arange(first + step, first + step * repeated + 1, step, dtype=np.int64)
         walk = SectorWalk(first, last, repeats)
-        return CoalesceResult(addresses.count, walk.transactions, walk, sector_bytes)
+        return CoalesceResult(count, walk.transactions, walk, sector_bytes)
     addresses = np.asarray(addresses, dtype=np.int64)
     if active_mask is not None:
         active_mask = np.asarray(active_mask, dtype=bool)

@@ -70,8 +70,12 @@ class DramTraffic:
     row_hit_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.row_hit_fraction <= 1.0:
-            raise ConfigError(f"row_hit_fraction out of range: {self.row_hit_fraction}")
+        _check_row_hit_fraction(self.row_hit_fraction)
+
+
+def _check_row_hit_fraction(fraction: float) -> None:
+    if not 0.0 <= fraction <= 1.0:
+        raise ConfigError(f"row_hit_fraction out of range: {fraction}")
 
 
 class DramModel:
@@ -93,20 +97,28 @@ class DramModel:
 
     def transfer_time_s(self, traffic: DramTraffic) -> float:
         """Time to drain ``traffic``, bandwidth-bound with a latency floor."""
-        if traffic.accesses == 0:
-            return 0.0
-        bandwidth_time = traffic.bytes_transferred / self.effective_bandwidth(
-            traffic.row_hit_fraction
+        return self.drain_time_s(
+            traffic.accesses, traffic.bytes_transferred, traffic.row_hit_fraction
         )
+
+    def drain_time_s(
+        self, accesses: int, bytes_transferred: int, row_hit_fraction: float
+    ) -> float:
+        """:meth:`transfer_time_s` of the traffic these numbers describe,
+        range check included, without building a :class:`DramTraffic`."""
+        _check_row_hit_fraction(row_hit_fraction)
+        if accesses == 0:
+            return 0.0
+        bandwidth_time = bytes_transferred / self.effective_bandwidth(row_hit_fraction)
         # A single access cannot beat the device latency.
         latency_floor = self.config.access_latency_ns * 1e-9
         time_s = max(bandwidth_time, latency_floor)
         if self.obs.enabled:
             metrics = self.obs.metrics
-            metrics.counter("mem.dram.requests").inc(traffic.accesses, device=self.config.name)
+            metrics.counter("mem.dram.requests").inc(accesses, device=self.config.name)
             metrics.counter("mem.dram.time_s").inc(time_s, device=self.config.name)
             metrics.histogram("mem.dram.row_hit_fraction").observe(
-                traffic.row_hit_fraction, device=self.config.name
+                row_hit_fraction, device=self.config.name
             )
         return time_s
 

@@ -10,18 +10,24 @@ A coalesced in-order walk arrives as a
 the last, ascending): its distinct L2 lines and its DRAM row changes
 follow from those two ids, so its line ids are never built here.  Every
 other stream is profiled and row-counted element by element.
+
+Pricing a stream builds one :class:`MemoryStats` and nothing else: the
+hit-rate and DRAM drain-time models are called with plain numbers, and
+a phase folds its streams' bundles in one pass
+(:meth:`MemoryStats.fold`, bit-identical to chained :meth:`~MemoryStats.merged`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from ..obs import NULL_OBS, Observability
 from .coalescer import SECTOR_BYTES, CoalesceResult, SectorWalk
 from .dram import DramConfig, DramModel, DramTraffic
-from .locality import LocalityProfile, estimate_hit_rate, profile_lines
+from .locality import profile_lines, reuse_hit_rate
 
 
 @dataclass(frozen=True)
@@ -53,6 +59,28 @@ class MemoryStats:
             dram_bytes=self.dram_bytes + other.dram_bytes,
             row_hit_fraction=row_hit,
         )
+
+    @classmethod
+    def fold(cls, parts: Iterable["MemoryStats"]) -> "MemoryStats":
+        """``MemoryStats()`` :meth:`merged` with each part in turn, in one
+        pass and bit for bit: the running row-hit mean is updated by the
+        same float operations, and no intermediate bundle is built."""
+        accesses = transactions = l2_hits = dram_accesses = dram_bytes = 0
+        row_hit = 0.5
+        for part in parts:
+            total_bytes = dram_bytes + part.dram_bytes
+            if total_bytes:
+                row_hit = (
+                    row_hit * dram_bytes + part.row_hit_fraction * part.dram_bytes
+                ) / total_bytes
+            else:
+                row_hit = 0.5
+            dram_bytes = total_bytes
+            accesses += part.accesses
+            transactions += part.transactions
+            l2_hits += part.l2_hits
+            dram_accesses += part.dram_accesses
+        return cls(accesses, transactions, l2_hits, dram_accesses, dram_bytes, row_hit)
 
     @property
     def coalescing_factor(self) -> float:
@@ -128,7 +156,8 @@ class MemoryHierarchy:
                 caching (the GPU marks such loads; the SCU's bulk
                 sequential writes behave this way too).
         """
-        if result.transactions == 0:
+        transactions = result.transactions
+        if transactions == 0:
             return MemoryStats()
         # The coalescer emits *sector* ids; the L2 tracks residency at
         # its own line granularity.  Convert before profiling reuse —
@@ -137,33 +166,35 @@ class MemoryHierarchy:
         # the working set (and understate hits) by the size ratio.
         walk = result.walk
         if walk is None:
-            profile = profile_lines(result.cache_line_ids(self.l2_line_bytes))
+            lines = profile_lines(result.cache_line_ids(self.l2_line_bytes)).unique_lines
         else:
             lines = walk.distinct(result.line_ratio(self.l2_line_bytes))
-            profile = LocalityProfile(result.transactions, lines)
         if l2_bypass:
             hit_rate = 0.0
         else:
-            hit_rate = estimate_hit_rate(profile, self.l2_capacity_bytes, self.l2_line_bytes)
-        l2_hits = int(round(hit_rate * result.transactions))
-        dram_accesses = result.transactions - l2_hits
+            hit_rate = reuse_hit_rate(
+                transactions, lines, self.l2_capacity_bytes, self.l2_line_bytes
+            )
+        l2_hits = int(round(hit_rate * transactions))
+        dram_accesses = transactions - l2_hits
+        dram_bytes = dram_accesses * result.sector_bytes
         if self.obs.enabled:
             metrics = self.obs.metrics
             metrics.counter("mem.accesses").inc(result.accesses)
-            metrics.counter("mem.l2.transactions").inc(result.transactions)
+            metrics.counter("mem.l2.transactions").inc(transactions)
             metrics.counter("mem.l2.hits").inc(l2_hits)
             metrics.counter("mem.l2.misses").inc(dram_accesses)
-            metrics.counter("mem.dram.bytes").inc(dram_accesses * result.sector_bytes)
+            metrics.counter("mem.dram.bytes").inc(dram_bytes)
             metrics.histogram("mem.l2.hit_rate").observe(hit_rate)
         # DRAM sees the miss stream; its locality mirrors the transaction
         # stream's (misses preserve order through the L2 miss queue).
         return MemoryStats(
-            accesses=result.accesses,
-            transactions=result.transactions,
-            l2_hits=l2_hits,
-            dram_accesses=dram_accesses,
-            dram_bytes=dram_accesses * result.sector_bytes,
-            row_hit_fraction=row_hit_fraction(
+            result.accesses,
+            transactions,
+            l2_hits,
+            dram_accesses,
+            dram_bytes,
+            row_hit_fraction(
                 result.sectors,
                 row_bytes=self.dram.row_bytes,
                 sector_bytes=result.sector_bytes,
@@ -171,7 +202,9 @@ class MemoryHierarchy:
         )
 
     def dram_time_s(self, stats: MemoryStats) -> float:
-        return self._dram_model.transfer_time_s(stats.dram_traffic())
+        return self._dram_model.drain_time_s(
+            stats.dram_accesses, stats.dram_bytes, stats.row_hit_fraction
+        )
 
     def dram_dynamic_energy_j(self, stats: MemoryStats) -> float:
         return self._dram_model.dynamic_energy_j(stats.dram_traffic())

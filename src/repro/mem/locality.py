@@ -57,13 +57,22 @@ def estimate_hit_rate(
     profile: LocalityProfile, capacity_bytes: int, line_bytes: int
 ) -> float:
     """Estimate the hit rate of ``profile`` on a cache of the given size."""
+    return reuse_hit_rate(
+        profile.accesses, profile.unique_lines, capacity_bytes, line_bytes
+    )
+
+
+def reuse_hit_rate(
+    accesses: int, unique_lines: int, capacity_bytes: int, line_bytes: int
+) -> float:
+    """:func:`estimate_hit_rate` of the profile these numbers describe."""
     if capacity_bytes <= 0 or line_bytes <= 0:
         raise ConfigError("cache capacity and line size must be positive")
-    if profile.accesses == 0:
+    if accesses == 0:
         return 0.0
     capacity_lines = capacity_bytes / line_bytes
-    residency = min(1.0, capacity_lines / max(profile.unique_lines, 1))
-    return (profile.reuses * residency) / profile.accesses
+    residency = min(1.0, capacity_lines / max(unique_lines, 1))
+    return ((accesses - unique_lines) * residency) / accesses
 
 
 def estimate_hits(

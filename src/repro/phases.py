@@ -99,10 +99,7 @@ class RunReport:
         return sum(p.instructions for p in self.select(engine=engine))
 
     def memory(self, *, engine: Engine | None = None) -> MemoryStats:
-        total = MemoryStats()
-        for phase in self.select(engine=engine):
-            total = total.merged(phase.memory)
-        return total
+        return MemoryStats.fold(phase.memory for phase in self.select(engine=engine))
 
     def compaction_time_fraction(self) -> float:
         """Figure 1's quantity: fraction of run time spent compacting.

@@ -949,7 +949,8 @@ class OneSendHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     sys_version = ""
     timeout = READ_TIMEOUT_S
-    #: Set once the client reset the connection: nothing is sent to it.
+    #: Set once the client reset the connection (while its body was
+    #: read or its response written): nothing more is sent to it.
     client_gone = False
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
@@ -996,7 +997,14 @@ class OneSendHandler(BaseHTTPRequestHandler):
         for name, value in extra_headers:
             self.send_header(name, value)
         self._headers_buffer.extend((b"\r\n", body))
-        self.flush_headers()
+        try:
+            self.flush_headers()
+        except ConnectionError:
+            # The client reset or hung up before its response was
+            # written: like a body that never arrived, this ends the
+            # connection quietly (the request is already journaled).
+            self.client_gone = True
+            self.close_connection = True
 
 
 class RequestHandler(OneSendHandler):

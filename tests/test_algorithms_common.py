@@ -14,7 +14,11 @@ from repro.algorithms import (
     run_algorithm,
     warp_cull,
 )
-from repro.algorithms.common import best_effort_cull
+from repro.algorithms.common import (
+    best_effort_cull,
+    best_effort_cull_reference,
+    warp_cull_reference,
+)
 from repro.errors import ExperimentError
 from repro.graph import build_csr
 from repro.graph.generators import generate_kron
@@ -42,6 +46,17 @@ class TestWarpCull:
         ids = np.asarray(raw, dtype=np.int64)
         keep = warp_cull(ids)
         assert set(ids[keep].tolist()) == set(raw)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=40), min_size=0, max_size=300),
+        st.sampled_from([1, 2, 3, 8, 32, 33, 64]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, raw, window):
+        ids = np.asarray(raw, dtype=np.int64)
+        got = warp_cull(ids, window=window)
+        assert got.dtype == np.bool_
+        assert got.tolist() == warp_cull_reference(ids, window=window).tolist()
 
 
 class TestBestEffortCull:
@@ -80,6 +95,25 @@ class TestBestEffortCull:
         ids = np.asarray(raw, dtype=np.int64)
         keep = best_effort_cull(ids, history=history, visibility=visibility)
         assert set(ids[keep].tolist()) == set(raw)
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=30), min_size=0, max_size=400),
+        st.integers(min_value=0, max_value=80),
+        st.integers(min_value=0, max_value=300),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, raw, history, visibility):
+        ids = np.asarray(raw, dtype=np.int64)
+        got = best_effort_cull(ids, history=history, visibility=visibility)
+        want = best_effort_cull_reference(ids, history=history, visibility=visibility)
+        assert got.dtype == np.bool_
+        assert got.tolist() == want.tolist()
+
+    def test_matches_reference_at_the_default_windows(self):
+        # A kron-like frontier: hub ids repeat near and far apart.
+        rng = np.random.default_rng(12)
+        ids = (rng.zipf(1.4, size=20_000) % 3000).astype(np.int64)
+        assert best_effort_cull(ids).tolist() == best_effort_cull_reference(ids).tolist()
 
     @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=200))
     @settings(max_examples=50, deadline=None)

@@ -135,6 +135,53 @@ class TestFilterBestCost:
             filter_best_cost_reference(ids, costs, table),
         )
 
+    def test_infinite_cost_keeps_first_occurrences(self):
+        ids = np.array([5, 5])
+        costs = np.array([np.inf, 1.0])
+        want = filter_best_cost_reference(ids, costs, COST_TABLE)
+        assert want.tolist() == [True, True]
+        assert filter_best_cost(ids, costs, COST_TABLE).tolist() == want.tolist()
+
+    def test_equal_fractional_duplicate_dropped_beside_a_large_cost(self):
+        # 3,000 distinct ids, one cost of 1e6, and an equal-cost duplicate
+        # of the lowest-slot id: costs offset by multiples of a float span
+        # round, and the duplicate would compare as an improvement.
+        rng = np.random.default_rng(8)
+        ids = rng.permutation(100_000)[:3000].astype(np.int64)
+        costs = rng.random(3000) * 10
+        costs[rng.integers(3000)] = 1e6
+        low = int(np.argmin(hash_slots(ids, COST_TABLE.num_entries)))
+        costs[low] = 1.01
+        ids = np.append(ids, ids[low])
+        costs = np.append(costs, 1.01)
+        want = filter_best_cost_reference(ids, costs, COST_TABLE)
+        assert not want[-1]
+        assert filter_best_cost(ids, costs, COST_TABLE).tolist() == want.tolist()
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=40),
+                st.one_of(
+                    st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+                    st.sampled_from([0.0, 0.1, 1.01, 1e6, np.inf]),
+                ),
+            ),
+            min_size=0,
+            max_size=400,
+        ),
+        st.sampled_from([1, 2, 8, 64, 1024]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_fractional_and_infinite_costs(self, pairs, entries):
+        table = HashTableConfig("t", capacity_bytes=entries * 8, ways=1, bytes_per_entry=8)
+        ids = np.array([p[0] for p in pairs], dtype=np.int64)
+        costs = np.array([p[1] for p in pairs], dtype=np.float64)
+        assert np.array_equal(
+            filter_best_cost(ids, costs, table),
+            filter_best_cost_reference(ids, costs, table),
+        )
+
 
 class TestEffectiveness:
     def test_duplicates_removed_fraction(self):

@@ -13,6 +13,7 @@ from repro.core import (
     expanded_indices,
     replication_compaction,
 )
+from repro.core.ops import stable_order
 from repro.errors import OperationError
 
 
@@ -193,3 +194,66 @@ class TestCompactionProperties:
         cnt = np.asarray(counts, dtype=np.int64)
         data = np.arange(cnt.size)
         assert replication_compaction(data, cnt).size == cnt.sum()
+
+
+def _assert_stable_order(keys):
+    """``stable_order`` is the stable argsort along the last axis, with
+    the keys it sorted."""
+    keys = np.asarray(keys)
+    order, sorted_keys = stable_order(keys)
+    want = np.argsort(keys, axis=-1, kind="stable")
+    assert order.dtype == want.dtype
+    assert np.array_equal(order, want)
+    assert sorted_keys.dtype == keys.dtype
+    assert np.array_equal(sorted_keys, np.take_along_axis(keys, want, axis=-1))
+
+
+class TestStableOrder:
+    """The packed sort against its spec, ``np.argsort(kind="stable")``."""
+
+    def test_empty(self):
+        _assert_stable_order(np.empty(0, dtype=np.int64))
+
+    def test_one_element(self):
+        _assert_stable_order(np.array([7], dtype=np.int64))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 100, 1000])
+    def test_all_keys_equal_keep_stream_order(self, n):
+        keys = np.full(n, 9, dtype=np.int64)
+        _assert_stable_order(keys)
+        assert stable_order(keys)[0].tolist() == list(range(n))
+
+    def test_negative_keys(self):
+        _assert_stable_order(np.array([3, -1, 3, -7, 0, -1], dtype=np.int64))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 1023, 1024, 1025])
+    def test_keys_at_and_just_past_the_packing_limit(self, n):
+        # ``key << n.bit_length() | position`` must stay below 2**63.
+        limit = (1 << (63 - n.bit_length())) - 1
+        rng = np.random.default_rng(n)
+        for top in (limit, limit + 1, np.iinfo(np.int64).max):
+            keys = rng.integers(0, 3, size=n).astype(np.int64) + (top - 2)
+            _assert_stable_order(keys)
+
+    @pytest.mark.parametrize("exponent", range(0, 13))
+    def test_lengths_at_powers_of_two(self, exponent):
+        rng = np.random.default_rng(exponent)
+        for n in (2**exponent - 1, 2**exponent, 2**exponent + 1):
+            _assert_stable_order(rng.integers(0, 1 + n // 3, size=n))
+
+    def test_rows_sort_along_the_last_axis(self):
+        rng = np.random.default_rng(3)
+        _assert_stable_order(rng.integers(0, 5, size=(7, 32)))
+        _assert_stable_order(np.empty((0, 32), dtype=np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.uint64, np.float64, np.bool_])
+    def test_other_dtypes(self, dtype):
+        rng = np.random.default_rng(4)
+        _assert_stable_order(rng.integers(0, 4, size=50).astype(dtype))
+
+    @given(
+        st.lists(st.integers(min_value=-50, max_value=2**40), min_size=0, max_size=300)
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_stable_argsort(self, raw):
+        _assert_stable_order(np.asarray(raw, dtype=np.int64))

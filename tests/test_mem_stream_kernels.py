@@ -11,6 +11,8 @@ locality of every phase.
 An ``AddressRange`` is priced in closed form by both coalescers and by
 ``MemoryHierarchy.process``.  Those closed forms are pinned against the
 explicit kernels run on the materialised addresses, ``np.asarray(range)``.
+``MemoryStats.fold`` is pinned bit for bit against the chained
+``merged`` calls it replaces.
 """
 
 import dataclasses
@@ -28,6 +30,7 @@ from repro.mem import (
     AddressRange,
     AddressSpace,
     MemoryHierarchy,
+    MemoryStats,
     SectorWalk,
     coalesce_stream,
     coalesce_warp,
@@ -271,6 +274,38 @@ class TestRangeCoalescerPins:
         mask = np.ones(1000, dtype=bool)
         assert coalesce_warp(walk, active_mask=mask).walk is None
 
+    def test_warp_spans_of_part_sectors_take_the_explicit_kernel(self):
+        # 4 lanes x 4 bytes, 32 lanes x 1 byte over 64-byte sectors:
+        # warps start at different offsets within their sectors.
+        for walk, warp_size, sector_bytes in (
+            (AddressRange(4, 100, 4), 4, 32),
+            (AddressRange(0, 100, 1), 32, 64),
+            (AddressRange(6, 300, 3), 32, 128),
+        ):
+            got = coalesce_warp(walk, warp_size=warp_size, sector_bytes=sector_bytes)
+            assert got.walk is None
+            want = coalesce_warp(np.asarray(walk), warp_size=warp_size, sector_bytes=sector_bytes)
+            _same_result(got, want)
+
+    @given(st.data(), SECTORS, st.sampled_from([1, 2, 4, 8, 32, 33]))
+    @settings(max_examples=300, deadline=None)
+    def test_warp_closed_form_exactly_when_a_warp_spans_whole_sectors(
+        self, data, sector_bytes, warp_size
+    ):
+        walk = data.draw(ranges(sector_bytes))
+        got = coalesce_warp(walk, warp_size=warp_size, sector_bytes=sector_bytes)
+        whole = 0 < walk.stride <= sector_bytes and warp_size * walk.stride % sector_bytes == 0
+        assert (got.walk is not None) == whole
+
+    @pytest.mark.parametrize("offset", [3, 4, 5])
+    def test_warp_starts_repeat_from_an_offset_of_one_stride(self, offset):
+        # 4-byte lanes: a warp starting 4 or more bytes into a sector
+        # shares that sector with the previous warp's last lane.
+        walk = AddressRange(64 + offset, 200, 4)
+        got = coalesce_warp(walk)
+        assert got.walk.repeats.size == (6 if offset >= 4 else 0)
+        _same_result(got, coalesce_warp(np.asarray(walk)))
+
     def test_masked_range_matches_explicit_kernel(self):
         walk = AddressRange(12, 300, 4)
         mask = np.random.default_rng(5).random(300) < 0.6
@@ -335,6 +370,60 @@ class TestRangeHierarchyPins:
         got = row_hit_fraction(result.sectors, row_bytes=row_bytes, sector_bytes=sector_bytes)
         want = row_hit_fraction(result.line_ids, row_bytes=row_bytes, sector_bytes=sector_bytes)
         assert type(got) is float and _bits(got) == _bits(want)
+
+
+class TestMemoryStatsFold:
+    """``MemoryStats.fold`` against the chained ``merged`` it replaces."""
+
+    @staticmethod
+    def _chained(parts):
+        total = MemoryStats()
+        for part in parts:
+            total = total.merged(part)
+        return total
+
+    @staticmethod
+    def _assert_bits(got, want):
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert type(a) is type(b) and _bits(a) == _bits(b), field.name
+
+    @given(
+        st.lists(
+            st.builds(
+                MemoryStats,
+                accesses=st.integers(0, 10**9),
+                transactions=st.integers(0, 10**7),
+                l2_hits=st.integers(0, 10**7),
+                dram_accesses=st.integers(0, 10**7),
+                dram_bytes=st.one_of(st.just(0), st.integers(0, 10**9)),
+                row_hit_fraction=st.one_of(
+                    st.sampled_from([0.0, 0.5, 1.0]),
+                    st.floats(0.0, 1.0, allow_nan=False),
+                ),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_equals_chained_merged_bit_for_bit(self, parts):
+        self._assert_bits(MemoryStats.fold(parts), self._chained(parts))
+        self._assert_bits(MemoryStats.fold(iter(parts)), self._chained(parts))
+
+    def test_empty_parts_reset_and_weigh_as_merged_does(self):
+        empty = MemoryStats()
+        zero_bytes = MemoryStats(accesses=7, transactions=3, row_hit_fraction=0.9)
+        streaming = MemoryStats(10, 5, 1, 4, 128, 0.75)
+        random = MemoryStats(10, 9, 0, 9, 288, 0.1)
+        for parts in (
+            [],
+            [empty],
+            [zero_bytes],
+            [zero_bytes, streaming],
+            [streaming, zero_bytes, random],
+            [empty, streaming, empty, random, zero_bytes],
+        ):
+            self._assert_bits(MemoryStats.fold(parts), self._chained(parts))
 
 
 @pytest.mark.parametrize(

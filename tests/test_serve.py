@@ -42,7 +42,7 @@ from repro.serve import (
     make_server,
     run_response,
 )
-from repro.serve.server import RequestHandler
+from repro.serve.server import RequestHandler, ServiceServer
 
 REQUEST_BODY = json.dumps(
     {"algorithm": "bfs", "dataset": "human", "gpu": "TX1", "mode": "scu-enhanced"}
@@ -594,6 +594,45 @@ class TestSlowClients:
         client.close()
         assert service.drain(timeout_s=5.0) is True
         assert self._journal(service) == [("bad-request", 400)]
+
+    def test_reset_before_the_response_is_quiet_and_served_on(
+        self, served, monkeypatch, capsys
+    ):
+        # The request simulates until the client has reset, so its
+        # response is written to a connection that is gone.
+        gate, closed = threading.Event(), threading.Event()
+        handle_run = SimulationService.handle_run
+        shutdown_request = ServiceServer.shutdown_request
+
+        def gated(self, request, ctx):
+            assert gate.wait(10.0)
+            return handle_run(self, request, ctx)
+
+        def shut_down(self, request):
+            # Runs after the server reported any error of the connection.
+            shutdown_request(self, request)
+            closed.set()
+
+        monkeypatch.setattr(SimulationService, "handle_run", gated)
+        monkeypatch.setattr(ServiceServer, "shutdown_request", shut_down)
+        service, base = served
+        url = urllib.parse.urlsplit(base)
+        client = socket.create_connection((url.hostname, url.port), timeout=10.0)
+        client.sendall(
+            b"POST /run HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+            + f"Content-Length: {len(REQUEST_BODY)}\r\n\r\n".encode()
+            + REQUEST_BODY
+        )
+        _wait_until(lambda: service._http_inflight == 1)
+        client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        client.close()
+        time.sleep(0.05)  # let the reset reach the server's socket
+        gate.set()
+        assert closed.wait(10.0)
+        assert self._journal(service) == [("simulated", 200)]
+        status, _ = _post(base, REQUEST_BODY)
+        assert status == 200
+        assert capsys.readouterr().err == ""
 
     def test_stall_mid_body_times_out_and_drains(self, served, monkeypatch):
         monkeypatch.setattr(RequestHandler, "timeout", 0.3)
