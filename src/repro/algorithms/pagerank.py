@@ -11,6 +11,13 @@ and the access pattern is already regular), so the enhanced variant is
 the basic one.  On the GTX980 the paper reports a small *slowdown* —
 the SCU's sequential pipeline cannot beat 16 SMs at an already-regular
 gather — while the TX1 still gains slightly.
+
+Because every node stays active, the rank update's atomic scatter hits
+the same addresses (each edge's destination rank, in CSR order) in every
+iteration: it is priced once per run
+(:meth:`~repro.gpu.device.GpuDevice.price`) and that cost is issued in
+each ``pr.rank_update`` launch.  The SCU's whole-graph expansion selects
+back-to-back adjacency ranges, so its data gather is one sequential walk.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 
 from ..core.api import ScuSystem
 from ..errors import SimulationError
-from ..gpu.kernel import KernelSpec
+from ..gpu.kernel import KernelSpec, atomic_stream
 from ..graph.csr import CsrGraph
 from ..phases import PhaseKind, RunReport
 from .common import (
@@ -65,6 +72,9 @@ def run_pagerank(
     indexes_dev = ctx.array("pr.indexes", graph.offsets[:-1])
     count_dev = ctx.array("pr.count", degrees)
     prev_ranks_dev = ctx.array("pr.prev", ranks.copy())
+    # atomicAdd per edge onto its destination's rank: the same stream in
+    # every iteration, so it is priced once.
+    scatter = gpu.price(atomic_stream(dev.node_data.addresses(graph.edges)))
 
     converged = False
     for iteration in range(max_iterations):
@@ -86,10 +96,10 @@ def run_pagerank(
             report.add(gpu.run(prepare))
 
             ef_values = graph.edges
-            wf_values = np.repeat(contributions, degrees)
 
             # ---- expansion gather: the PR compaction workload -------------------
             if mode is SystemMode.GPU:
+                wf_values = np.repeat(contributions, degrees)
                 ef_dev = ctx.array("pr.ef", ef_values)
                 wf_dev = ctx.array("pr.wf", wf_values)
                 gather = KernelSpec(
@@ -118,10 +128,12 @@ def run_pagerank(
                     contrib_dev, count_dev, out="pr.wf"
                 )
                 report.add(phase)
+                wf_values = wf_dev.values
 
             # ---- rank update (GPU, all modes): atomicAdd per edge ---------------
-            incoming = np.zeros(n, dtype=np.float64)
-            np.add.at(incoming, ef_values, wf_values)
+            # bincount adds the weights in input order, as the atomics'
+            # np.add.at spec in reference.py does: the same float sums.
+            incoming = np.bincount(ef_values, weights=wf_values, minlength=n)
             update = KernelSpec(
                 "pr.rank_update",
                 PhaseKind.PROCESSING,
@@ -130,7 +142,7 @@ def run_pagerank(
             )
             update.load(ef_dev.span())
             update.load(wf_dev.span())
-            update.atomic(dev.node_data.addresses(np.asarray(ef_dev.values, dtype=np.int64)))
+            update.priced(scatter)
             report.add(gpu.run(update))
 
             # ---- dampening (GPU, all modes) --------------------------------------

@@ -8,7 +8,8 @@ The micro suite times the individual vectorized kernels (DRAM batch
 replay, unique filtering, grouping, warp/stream coalescing, LRU cache
 replay, CC labelling, L2 reuse profiling, closed-form pricing of
 sequential walks through the memory hierarchy, the GPU's best-effort and
-warp duplicate culls) on fixed-seed synthetic inputs and writes the
+warp duplicate culls, PageRank's rank-update scatter priced once per
+run) on fixed-seed synthetic inputs and writes the
 same style of schema-versioned artifact, so
 ``--compare`` against the committed ``benchmarks/baseline_micro.json``
 gates future kernel work through the existing exit-2 path.
@@ -46,11 +47,13 @@ import numpy as np
 
 from ..algorithms import connected_components_labels, connected_components_reference
 from ..algorithms.common import (
+    KERNEL_COSTS,
     best_effort_cull,
     best_effort_cull_reference,
     warp_cull,
     warp_cull_reference,
 )
+from ..core.api import PAPER_SCALE
 from ..core.batch import (
     data_compaction_batch,
     filter_unique_batch,
@@ -62,9 +65,11 @@ from ..core.grouping import group_order, group_order_reference
 from ..core.ops import data_compaction, expanded_indices
 from ..errors import BenchError
 from ..gpu.config import TX1
+from ..gpu.device import GpuDevice
+from ..gpu.kernel import KernelSpec, atomic_stream
 from ..graph.csr import CsrGraph
-from ..graph.generators import generate_kron
-from ..mem.address_space import AddressSpace
+from ..graph.generators import generate_delaunay, generate_kron
+from ..mem.address_space import AddressSpace, DeviceContext
 from ..mem.cache import SetAssociativeCache
 from ..mem.coalescer import coalesce_stream, coalesce_warp
 from ..mem.dram import GDDR5
@@ -72,6 +77,7 @@ from ..mem.dram_sim import BankedDramSim
 from ..mem.hierarchy import MemoryHierarchy, MemoryStats
 from ..mem.locality import profile_lines
 from ..obs.metrics import MetricsRegistry, global_metrics
+from ..phases import PhaseKind
 from .compare import V_MISSING, V_SIM, V_WALL, V_FASTER, CompareReport, Finding
 from .record import WallStats, collect_provenance
 
@@ -428,6 +434,63 @@ def _cull_reference(inputs: Dict[str, Any]) -> Dict[str, float]:
     )
 
 
+#: Rank-update launches of one PageRank run on ``delaunay`` (its
+#: iterations to convergence).
+PAGERANK_ITERATIONS = 18
+
+
+def _scatter_inputs(quick: bool) -> Tuple[int, Dict[str, Any]]:
+    # The delaunay dataset's shape (16k points, about six edges each),
+    # placed as PageRank places it: edge and weight frontiers walked in
+    # order, one atomic per edge onto its destination's rank.
+    graph = generate_delaunay(num_points=16384 if quick else 65536, seed=2035)
+    ctx = DeviceContext()
+    ranks = ctx.array("node.state", np.ones(graph.num_nodes))
+    return graph.num_edges, {
+        "walks": (
+            ctx.array("pr.ef", graph.edges).span(),
+            ctx.array("pr.wf", np.zeros(graph.num_edges)).span(),
+        ),
+        "scatter": ranks.addresses(graph.edges),
+    }
+
+
+def _rank_updates(gpu: GpuDevice, inputs: Dict[str, Any], scatter) -> Dict[str, float]:
+    """``pr.rank_update`` launches on ``gpu``, each issuing ``scatter``
+    (an atomic stream, or its cost).  Floats compare bit for bit."""
+    reports = []
+    for _ in range(PAGERANK_ITERATIONS):
+        update = KernelSpec(
+            "pr.rank_update",
+            PhaseKind.PROCESSING,
+            threads=int(inputs["scatter"].size),
+            instructions_per_thread=KERNEL_COSTS["pr.rank_update"],
+        )
+        for walk in inputs["walks"]:
+            update.load(walk)
+        update.accesses.append(scatter)
+        reports.append(gpu.run(update))
+    total = MemoryStats.fold(report.memory for report in reports)
+    return {
+        "transactions": float(total.transactions),
+        "l2_hits": float(total.l2_hits),
+        "dram_bytes": float(total.dram_bytes),
+        "row_hit_fraction": total.row_hit_fraction,
+        "time_s": sum(report.time_s for report in reports),
+        "energy_j": sum(report.dynamic_energy_j for report in reports),
+    }
+
+
+def _scatter_run(inputs: Dict[str, Any]) -> Dict[str, float]:
+    gpu = GpuDevice(TX1, memory_scale=PAPER_SCALE)
+    return _rank_updates(gpu, inputs, gpu.price(atomic_stream(inputs["scatter"])))
+
+
+def _scatter_reference(inputs: Dict[str, Any]) -> Dict[str, float]:
+    gpu = GpuDevice(TX1, memory_scale=PAPER_SCALE)
+    return _rank_updates(gpu, inputs, atomic_stream(inputs["scatter"]))
+
+
 def _cache_inputs(quick: bool) -> Tuple[int, Dict[str, Any]]:
     n = 25_000 if quick else 100_000
     rng = np.random.default_rng(2030)
@@ -573,6 +636,9 @@ MICRO_KERNELS: Tuple[MicroKernel, ...] = (
         "hierarchy.process", _hierarchy_inputs, _hierarchy_run, _hierarchy_reference
     ),
     MicroKernel("cull.best_effort", _cull_inputs, _cull_run, _cull_reference),
+    MicroKernel(
+        "pagerank.scatter", _scatter_inputs, _scatter_run, _scatter_reference
+    ),
 )
 
 MICRO_KERNEL_NAMES: Tuple[str, ...] = tuple(k.name for k in MICRO_KERNELS)

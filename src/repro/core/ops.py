@@ -13,6 +13,12 @@ comparisons the hardware comparator implements.
 model (filtering, grouping, their batched forms) and the GPU's culling
 heuristics: the stable sort by slot, id or composite key that turns a
 sequential table walk into run-boundary comparisons.
+
+Access Expansion is split so the cost model can reuse its pieces:
+:func:`expansion_ranges` makes every input check once,
+:func:`expanded_indices` builds the ragged element index (one
+``np.arange`` when :func:`back_to_back_start` finds the ranges back to
+back), and the unit gathers values and prices addresses through it.
 """
 
 from __future__ import annotations
@@ -176,22 +182,53 @@ def access_expansion_compaction(
     offsets of frontier nodes and ``count`` their degrees, the output is
     the edge frontier.
     """
-    arr = _as_1d(data, "data")
-    idx = _as_1d(indexes, "indexes").astype(np.int64)
-    cnt = _as_1d(count, "count").astype(np.int64)
+    idx, cnt = expansion_ranges(data, indexes, count, bitmask)
+    return np.asarray(data)[expanded_indices(idx, cnt)]
+
+
+def expansion_ranges(
+    data: np.ndarray,
+    indexes: np.ndarray,
+    count: np.ndarray,
+    bitmask: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(indexes, count)`` ranges an Access Expansion of ``data``
+    gathers: the index entries ``bitmask`` keeps, each checked to lie
+    inside the data.  Every input check of the operation happens here."""
+    size = _as_1d(data, "data").size
+    idx, cnt = _ranges(indexes, count)
+    if bitmask is not None:
+        mask = _check_mask(bitmask, idx.size)
+        idx, cnt = idx[mask], cnt[mask]
+    if idx.size and (idx.min() < 0 or (idx + cnt).max() > size):
+        raise OperationError("expansion range out of bounds")
+    return idx, cnt
+
+
+def _ranges(indexes: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    idx = _as_1d(indexes, "indexes").astype(np.int64, copy=False)
+    cnt = _as_1d(count, "count").astype(np.int64, copy=False)
     if idx.size != cnt.size:
         raise OperationError(f"indexes length {idx.size} != count length {cnt.size}")
     if cnt.size and cnt.min() < 0:
         raise OperationError("expansion counts must be non-negative")
-    if bitmask is not None:
-        mask = _check_mask(bitmask, idx.size)
-        idx, cnt = idx[mask], cnt[mask]
-    if idx.size == 0:
-        return arr[:0]
-    ends = idx + cnt
-    if idx.min() < 0 or (cnt.size and ends.max() > arr.size):
-        raise OperationError("expansion range out of bounds")
-    return arr[expanded_indices(idx, cnt)]
+    return idx, cnt
+
+
+def back_to_back_start(indexes: np.ndarray, count: np.ndarray) -> int | None:
+    """``indexes[0]`` when every range starts where the previous one ends,
+    so the expansion is the one run ``arange(indexes[0], indexes[0] +
+    count.sum())``; ``None`` otherwise (or with no ranges).  Expects
+    int64 arrays of equal length, as :func:`expansion_ranges` returns."""
+    if indexes.size == 0:
+        return None
+    # The first boundary alone turns away almost every ragged frontier,
+    # before the comparison of all of them.
+    if indexes.size > 1 and indexes[1] != indexes[0] + count[0]:
+        return None
+    if not (indexes[1:] == indexes[:-1] + count[:-1]).all():
+        return None
+    return int(indexes[0])
 
 
 def expanded_indices(indexes: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -199,13 +236,16 @@ def expanded_indices(indexes: np.ndarray, count: np.ndarray) -> np.ndarray:
 
     For ``indexes=[5, 0]``, ``count=[2, 3]`` the result is
     ``[5, 6, 0, 1, 2]``.  Exposed separately because the cost model needs
-    the gather's *addresses*, not just its values.
+    the gather's *addresses*, not just its values.  Back-to-back ranges
+    (:func:`back_to_back_start`) are one ``np.arange``.
     """
-    idx = np.asarray(indexes, dtype=np.int64)
-    cnt = np.asarray(count, dtype=np.int64)
+    idx, cnt = _ranges(indexes, count)
     total = int(cnt.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
+    start = back_to_back_start(idx, cnt)
+    if start is not None:
+        return np.arange(start, start + total, dtype=np.int64)
     # Standard ragged-range construction: exclusive-scan offsets + base.
     starts = exclusive_scan(cnt)
     flat = np.arange(total, dtype=np.int64)

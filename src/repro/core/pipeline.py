@@ -102,8 +102,12 @@ def streams_memory_stats(
 # -- stream builders, one vocabulary shared by all operations ---------------
 
 
-def sequential_read(array: DeviceArray, role: str = "data") -> ScuStream:
-    return ScuStream(role=role, addresses=array.span())
+def sequential_read(
+    array: DeviceArray, role: str = "data", *, start: int = 0, count: int | None = None
+) -> ScuStream:
+    """The in-order walk over ``count`` elements from ``start`` (default:
+    the whole array)."""
+    return ScuStream(role=role, addresses=array.span(start, count))
 
 
 def bitmask_read(mask_array: DeviceArray) -> ScuStream:

@@ -16,6 +16,12 @@ The enhanced SCU's two-step filtering/grouping protocol (Section 4.1)
 maps onto: a ``*_pass`` method that produces the bitmask / reorder
 vector (step one), and a compaction method taking ``bitmask=`` /
 ``reorder=`` operands (step two).
+
+The Access Expansion builds its ragged element index once, gathers the
+values through it and prices the same gather.  When the selected ranges
+are back to back (PageRank's whole-graph expansion) the index is one
+run, and the data gather is issued as that sequential walk
+(``data.span(start, total)``), which the hierarchy prices in closed form.
 """
 
 from __future__ import annotations
@@ -284,14 +290,11 @@ class StreamCompactionUnit:
         surviving elements are fetched.
         """
         mask_values = None if bitmask is None else bitmask.values
-        expanded = ops.access_expansion_compaction(
+        idx, cnt = ops.expansion_ranges(
             data.values, indexes.values, count.values, mask_values
         )
-        idx = np.asarray(indexes.values, dtype=np.int64)
-        cnt = np.asarray(count.values, dtype=np.int64)
-        if mask_values is not None:
-            idx, cnt = idx[mask_values], cnt[mask_values]
         gather_indices = ops.expanded_indices(idx, cnt)
+        expanded = data.values[gather_indices]
         if element_bitmask is not None:
             element_mask = np.asarray(element_bitmask.values, dtype=bool)
             if element_mask.size != expanded.size:
@@ -303,13 +306,18 @@ class StreamCompactionUnit:
             gather_indices = gather_indices[element_mask]
         expanded = self._apply_reorder(expanded, reorder)
         out_array = self._output(out, expanded)
+        # Back-to-back ranges (a whole CSR adjacency) gather one sequential
+        # walk of the data, which the hierarchy prices in closed form.
+        start = None if element_bitmask is not None else ops.back_to_back_start(idx, cnt)
         streams = [
             sequential_read(indexes, role="indexes"),
             sequential_read(count, role="count"),
             *([] if bitmask is None else [bitmask_read(bitmask)]),
             *([] if element_bitmask is None else [bitmask_read(element_bitmask)]),
             *self._reorder_streams(reorder),
-            gather_read(data, gather_indices),
+            gather_read(data, gather_indices)
+            if start is None
+            else sequential_read(data, start=start, count=gather_indices.size),
             sequential_write(out_array),
         ]
         # Pipeline occupancy: with an element bitmask the unit still

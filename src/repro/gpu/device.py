@@ -1,9 +1,16 @@
 """The GPU device model: executes :class:`KernelSpec` cost descriptions.
 
 ``GpuDevice.run`` is the single entry point the algorithms use for GPU
-work: it coalesces every access stream warp-by-warp, pushes the
-transactions through the shared memory hierarchy, applies the timing and
-energy models, and returns a :class:`~repro.phases.PhaseReport`.
+work: it prices every access stream (:meth:`GpuDevice.price`: coalesce
+warp-by-warp, then push the transactions through the shared memory
+hierarchy), applies the timing and energy models, and returns a
+:class:`~repro.phases.PhaseReport`.
+
+Pricing a stream depends on the stream and the device alone, so an
+algorithm that issues the same stream in every iteration prices it once
+and hands the :class:`~repro.gpu.kernel.StreamCost` to each launch;
+``run`` folds a cost exactly like a stream it prices itself, counter and
+histogram updates included, and the in-place pricing stays the spec.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ..errors import SimulationError
 from ..mem.address_space import AddressRange
 from ..mem.coalescer import coalesce_warp
 from ..mem.hierarchy import MemoryHierarchy, MemoryStats
@@ -18,7 +26,7 @@ from ..obs import NULL_OBS, Observability
 from ..phases import Engine, PhaseReport
 from .config import GpuConfig
 from .energy import kernel_dynamic_energy_j
-from .kernel import KernelSpec
+from .kernel import AccessStream, KernelSpec, StreamCost
 from .timing import kernel_timing
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,6 +69,43 @@ class GpuDevice:
         """Install an IRU on the coalescer input path (backend hook)."""
         self.reorderer = unit
 
+    def price(self, stream: AccessStream) -> StreamCost:
+        """Coalesce one access stream and price it through the hierarchy.
+
+        An installed IRU reorders the stream first unless it bypasses it:
+        regular (already-ordered) streams, which every range is, and
+        atomics.  Nothing is recorded here: the cost keeps the counter
+        and histogram updates pricing makes, and :meth:`run` records
+        them where the stream is issued.  An unobserved device keeps
+        none, so price a stream under the observer that runs it.
+        """
+        addresses = stream.addresses
+        active_mask = stream.active_mask
+        iru_elements = 0
+        if (
+            self.reorderer is not None
+            and not stream.is_atomic
+            and not isinstance(addresses, AddressRange)
+        ):
+            intercepted = self.reorderer.intercept(addresses, active_mask=active_mask)
+            if intercepted is not None:
+                addresses, iru_elements = intercepted
+                active_mask = None  # mask pre-applied by the unit
+        observations = [] if self.obs.enabled else None
+        result = coalesce_warp(addresses, active_mask=active_mask)
+        memory = self.hierarchy.process(
+            result, l2_bypass=stream.l2_bypass, observations=observations
+        )
+        dram_s = self.hierarchy.dram_time_s(memory, observations=observations)
+        return StreamCost(
+            stream,
+            memory,
+            dram_s,
+            iru_elements,
+            tuple(observations) if observations else (),
+            self,
+        )
+
     def run(self, spec: KernelSpec) -> PhaseReport:
         """Execute (cost-model) one kernel launch.
 
@@ -77,28 +122,21 @@ class GpuDevice:
             parts = []
             dram_s = 0.0
             iru_elements = 0
-            for stream in spec.accesses:
-                addresses = stream.addresses
-                active_mask = stream.active_mask
-                if (
-                    self.reorderer is not None
-                    and not stream.is_atomic
-                    and not isinstance(addresses, AddressRange)
-                ):
-                    # The unit bypasses regular (already-ordered) streams,
-                    # which every range is; only irregular ones enter the
-                    # buffer and pay its cost.
-                    intercepted = self.reorderer.intercept(
-                        addresses, active_mask=active_mask
+            for access in spec.accesses:
+                if not isinstance(access, StreamCost):
+                    cost = self.price(access)
+                elif access.device is self:
+                    cost = access
+                else:
+                    raise SimulationError(
+                        f"kernel {spec.name}: a stream cost priced on another "
+                        f"device cannot be folded here"
                     )
-                    if intercepted is not None:
-                        addresses, count = intercepted
-                        active_mask = None  # mask pre-applied by the unit
-                        iru_elements += count
-                result = coalesce_warp(addresses, active_mask=active_mask)
-                stats = self.hierarchy.process(result, l2_bypass=stream.l2_bypass)
-                dram_s += self.hierarchy.dram_time_s(stats)
-                parts.append(stats)
+                if cost.observations:
+                    self.obs.metrics.record(cost.observations)
+                parts.append(cost.memory)
+                dram_s += cost.dram_s
+                iru_elements += cost.iru_elements
             memory = MemoryStats.fold(parts)
             iru_overhead_s = 0.0
             iru_energy_j = 0.0

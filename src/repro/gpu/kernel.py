@@ -8,17 +8,29 @@ time and energy.  This is the contract that lets a functional NumPy
 simulation drive a hardware cost model.  An in-order walk is passed as
 its :class:`~repro.mem.address_space.AddressRange`; the device prices it
 without building the address array.
+
+A stream that is the same in every launch of a loop (PageRank's
+rank-update scatter) can be priced once with
+:meth:`~repro.gpu.device.GpuDevice.price` and issued in each launch as
+that :class:`StreamCost` (:meth:`KernelSpec.priced`); the device folds
+it exactly as if it priced the stream in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from ..errors import SimulationError
 from ..mem.address_space import AddressRange
+from ..mem.hierarchy import MemoryStats
+from ..obs.metrics import Update
 from ..phases import PhaseKind
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .device import GpuDevice
 
 
 def _stream(addresses) -> "np.ndarray | AddressRange":
@@ -39,6 +51,34 @@ class AccessStream:
     active_mask: np.ndarray | None = None
 
 
+def atomic_stream(addresses: np.ndarray) -> AccessStream:
+    """Atomic read-modify-write on the given addresses."""
+    return AccessStream(
+        addresses=np.asarray(addresses, dtype=np.int64),
+        is_store=True,
+        is_atomic=True,
+    )
+
+
+class StreamCost(NamedTuple):
+    """One access stream as :meth:`GpuDevice.price` priced it.
+
+    Everything a kernel launch folds for the stream: its memory
+    statistics, DRAM drain time, the elements an IRU reordered, and the
+    counter and histogram updates pricing it makes, which the device
+    records each time it folds the cost.  Valid on ``device`` only.
+    Immutable; a named tuple because every stream a launch names is
+    priced into one, which a frozen dataclass makes measurably dearer.
+    """
+
+    stream: AccessStream
+    memory: MemoryStats
+    dram_s: float
+    iru_elements: int
+    observations: tuple[Update, ...]
+    device: "GpuDevice"
+
+
 @dataclass
 class KernelSpec:
     """Cost description of one kernel launch."""
@@ -56,7 +96,8 @@ class KernelSpec:
     memory_efficiency: float = 1.0
     #: additional fixed overhead (extra launches, host synchronization)
     extra_overhead_s: float = 0.0
-    accesses: list[AccessStream] = field(default_factory=list)
+    #: streams in issue order; a :class:`StreamCost` is one priced earlier
+    accesses: list["AccessStream | StreamCost"] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.threads < 0:
@@ -105,30 +146,38 @@ class KernelSpec:
 
     def atomic(self, addresses: np.ndarray) -> "KernelSpec":
         """Atomic read-modify-write on the given addresses."""
-        self.accesses.append(
-            AccessStream(
-                addresses=np.asarray(addresses, dtype=np.int64),
-                is_store=True,
-                is_atomic=True,
-            )
-        )
+        self.accesses.append(atomic_stream(addresses))
+        return self
+
+    def priced(self, cost: StreamCost) -> "KernelSpec":
+        """Issue a stream already priced on the device that runs this kernel."""
+        self.accesses.append(cost)
         return self
 
     # -- observability --------------------------------------------------------
 
     def trace_args(self) -> dict:
         """Launch-shape summary attached to this kernel's trace span."""
+        streams = self.streams
         return {
             "threads": self.threads,
             "instructions": self.total_instructions,
-            "streams": len(self.accesses),
-            "loads": sum(1 for s in self.accesses if not s.is_store),
-            "stores": sum(1 for s in self.accesses if s.is_store),
+            "streams": len(streams),
+            "loads": sum(1 for s in streams if not s.is_store),
+            "stores": sum(1 for s in streams if s.is_store),
             "atomics": self.atomic_count,
             "kind": self.kind.value,
         }
 
     # -- totals ---------------------------------------------------------------
+
+    @property
+    def streams(self) -> list[AccessStream]:
+        """Every access stream in issue order, priced ones included."""
+        return [
+            access.stream if isinstance(access, StreamCost) else access
+            for access in self.accesses
+        ]
 
     @property
     def total_instructions(self) -> int:
@@ -137,5 +186,5 @@ class KernelSpec:
     @property
     def atomic_count(self) -> int:
         return sum(
-            stream.addresses.size for stream in self.accesses if stream.is_atomic
+            stream.addresses.size for stream in self.streams if stream.is_atomic
         )

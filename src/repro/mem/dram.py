@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from ..errors import ConfigError
 from ..obs import NULL_OBS, Observability
+from ..obs.metrics import Update
 
 
 @dataclass(frozen=True)
@@ -102,10 +103,19 @@ class DramModel:
         )
 
     def drain_time_s(
-        self, accesses: int, bytes_transferred: int, row_hit_fraction: float
+        self,
+        accesses: int,
+        bytes_transferred: int,
+        row_hit_fraction: float,
+        *,
+        observations: "list[Update] | None" = None,
     ) -> float:
         """:meth:`transfer_time_s` of the traffic these numbers describe,
-        range check included, without building a :class:`DramTraffic`."""
+        range check included, without building a :class:`DramTraffic`.
+
+        ``observations``, when given, receives the counter and histogram
+        updates instead of the registry (see
+        :meth:`~repro.mem.hierarchy.MemoryHierarchy.process`)."""
         _check_row_hit_fraction(row_hit_fraction)
         if accesses == 0:
             return 0.0
@@ -113,13 +123,17 @@ class DramModel:
         # A single access cannot beat the device latency.
         latency_floor = self.config.access_latency_ns * 1e-9
         time_s = max(bandwidth_time, latency_floor)
-        if self.obs.enabled:
-            metrics = self.obs.metrics
-            metrics.counter("mem.dram.requests").inc(accesses, device=self.config.name)
-            metrics.counter("mem.dram.time_s").inc(time_s, device=self.config.name)
-            metrics.histogram("mem.dram.row_hit_fraction").observe(
-                row_hit_fraction, device=self.config.name
+        if observations is not None or self.obs.enabled:
+            labels = {"device": self.config.name}
+            updates = (
+                ("counter", "mem.dram.requests", accesses, labels),
+                ("counter", "mem.dram.time_s", time_s, labels),
+                ("histogram", "mem.dram.row_hit_fraction", row_hit_fraction, labels),
             )
+            if observations is None:
+                self.obs.metrics.record(updates)
+            else:
+                observations.extend(updates)
         return time_s
 
     def dynamic_energy_j(self, traffic: DramTraffic) -> float:

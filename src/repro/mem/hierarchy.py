@@ -15,6 +15,9 @@ Pricing a stream builds one :class:`MemoryStats` and nothing else: the
 hit-rate and DRAM drain-time models are called with plain numbers, and
 a phase folds its streams' bundles in one pass
 (:meth:`MemoryStats.fold`, bit-identical to chained :meth:`~MemoryStats.merged`).
+A caller that prices a stream now and reports it later passes an
+``observations`` list, which receives the stream's counter and
+histogram updates instead of the registry.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from ..obs import NULL_OBS, Observability
+from ..obs.metrics import Update
 from .coalescer import SECTOR_BYTES, CoalesceResult, SectorWalk
 from .dram import DramConfig, DramModel, DramTraffic
 from .locality import profile_lines, reuse_hit_rate
@@ -146,7 +150,13 @@ class MemoryHierarchy:
         self.obs = obs
         self._dram_model.obs = obs
 
-    def process(self, result: CoalesceResult, *, l2_bypass: bool = False) -> MemoryStats:
+    def process(
+        self,
+        result: CoalesceResult,
+        *,
+        l2_bypass: bool = False,
+        observations: "list[Update] | None" = None,
+    ) -> MemoryStats:
         """Turn coalesced transactions into hierarchy-level statistics.
 
         Args:
@@ -155,6 +165,9 @@ class MemoryHierarchy:
             l2_bypass: model streaming accesses that are not worth
                 caching (the GPU marks such loads; the SCU's bulk
                 sequential writes behave this way too).
+            observations: when given, the stream's counter and histogram
+                updates are appended here instead of recorded, for the
+                caller to apply with :meth:`MetricsRegistry.record`.
         """
         transactions = result.transactions
         if transactions == 0:
@@ -178,14 +191,19 @@ class MemoryHierarchy:
         l2_hits = int(round(hit_rate * transactions))
         dram_accesses = transactions - l2_hits
         dram_bytes = dram_accesses * result.sector_bytes
-        if self.obs.enabled:
-            metrics = self.obs.metrics
-            metrics.counter("mem.accesses").inc(result.accesses)
-            metrics.counter("mem.l2.transactions").inc(transactions)
-            metrics.counter("mem.l2.hits").inc(l2_hits)
-            metrics.counter("mem.l2.misses").inc(dram_accesses)
-            metrics.counter("mem.dram.bytes").inc(dram_bytes)
-            metrics.histogram("mem.l2.hit_rate").observe(hit_rate)
+        if observations is not None or self.obs.enabled:
+            updates = (
+                ("counter", "mem.accesses", result.accesses, {}),
+                ("counter", "mem.l2.transactions", transactions, {}),
+                ("counter", "mem.l2.hits", l2_hits, {}),
+                ("counter", "mem.l2.misses", dram_accesses, {}),
+                ("counter", "mem.dram.bytes", dram_bytes, {}),
+                ("histogram", "mem.l2.hit_rate", hit_rate, {}),
+            )
+            if observations is None:
+                self.obs.metrics.record(updates)
+            else:
+                observations.extend(updates)
         # DRAM sees the miss stream; its locality mirrors the transaction
         # stream's (misses preserve order through the L2 miss queue).
         return MemoryStats(
@@ -201,9 +219,16 @@ class MemoryHierarchy:
             ),
         )
 
-    def dram_time_s(self, stats: MemoryStats) -> float:
+    def dram_time_s(
+        self, stats: MemoryStats, *, observations: "list[Update] | None" = None
+    ) -> float:
+        """DRAM drain time of one stream's misses (``observations`` as in
+        :meth:`process`)."""
         return self._dram_model.drain_time_s(
-            stats.dram_accesses, stats.dram_bytes, stats.row_hit_fraction
+            stats.dram_accesses,
+            stats.dram_bytes,
+            stats.row_hit_fraction,
+            observations=observations,
         )
 
     def dram_dynamic_energy_j(self, stats: MemoryStats) -> float:

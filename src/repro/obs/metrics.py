@@ -37,6 +37,10 @@ from ..errors import ObservabilityError
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
+#: One instrument update held for later, ``(kind, name, value, labels)``:
+#: kind ``"counter"`` increments by ``value``, ``"histogram"`` observes it.
+Update = Tuple[str, str, float, Dict[str, Any]]
+
 #: Log-spaced (factor-2) latency buckets: 0.5 ms .. ~65.5 s.  Wide
 #: enough for a cached hit and a cold multi-second simulation alike;
 #: the implicit ``+Inf`` bucket catches everything beyond.
@@ -358,6 +362,17 @@ class MetricsRegistry:
                 f"histogram {name!r} already registered with different buckets"
             )
         return metric
+
+    def record(self, updates: Iterable[Update]) -> None:
+        """Apply ``updates`` in order, exactly as the ``inc`` / ``observe``
+        calls they stand for.  A layer that prices work once and reports
+        it later keeps its updates in this form (see
+        :meth:`repro.gpu.device.GpuDevice.price`)."""
+        for kind, name, value, labels in updates:
+            if kind == "counter":
+                self.counter(name).inc(value, **labels)
+            else:
+                self.histogram(name).observe(value, **labels)
 
     def names(self) -> List[str]:
         return sorted(self._metrics)

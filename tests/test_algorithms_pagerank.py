@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import SystemMode, pagerank_reference, run_algorithm
 from repro.errors import SimulationError
@@ -89,3 +91,42 @@ class TestReports:
     def test_compaction_fraction_in_figure1_band(self):
         report = run_algorithm("pagerank", GRAPHS["kron"], "TX1", SystemMode.GPU).report
         assert 0.1 < report.compaction_time_fraction() < 0.6
+
+
+class TestRankUpdateSums:
+    """``run_pagerank`` sums each node's incoming contributions with
+    ``np.bincount(targets, weights=...)``; ``np.add.at``, the atomics'
+    spec in ``reference.py``, adds in the same input order, so the sums
+    are the same floats."""
+
+    @given(
+        st.integers(min_value=1, max_value=40).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(
+                        st.integers(min_value=0, max_value=n - 1),
+                        st.floats(min_value=1e-5, max_value=1e5),
+                    ),
+                    max_size=300,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bincount_matches_add_at_bit_for_bit(self, drawn):
+        n, edges = drawn
+        targets = np.array([t for t, _ in edges], dtype=np.int64)
+        weights = np.array([w for _, w in edges], dtype=np.float64)
+        want = np.zeros(n, dtype=np.float64)
+        np.add.at(want, targets, weights)
+        got = np.bincount(targets, weights=weights, minlength=n)
+        if edges:  # with no edges numpy counts in integers: zeros all the same
+            assert got.dtype == want.dtype
+        assert got.astype(np.float64).tobytes() == want.tobytes()
+
+    def test_edgeless_graph_ranks_are_base_scores(self):
+        graph = build_csr(3, np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        ranks = run_algorithm("pagerank", graph, "TX1", SystemMode.GPU, alpha=0.15).result
+        assert ranks.dtype == np.float64
+        assert list(ranks) == [0.15, 0.15, 0.15]

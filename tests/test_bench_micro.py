@@ -41,6 +41,14 @@ class TestRunMicro:
         # Coalescers have no scalar twin.
         assert by_name["coalesce.warp"].speedup is None
 
+    def test_pagerank_scatter_has_reference(self, quick_artifact):
+        """Priced once vs re-priced per launch; run_micro has already
+        checked the two checksum sets are equal."""
+        record = {r.kernel: r for r in quick_artifact.records}["pagerank.scatter"]
+        assert record.reference_wall is not None
+        assert record.speedup is not None and record.speedup > 0
+        assert record.sim["transactions"] > 0
+
     def test_checksums_deterministic_across_runs(self, quick_artifact):
         again = run_micro(quick=True, reps=1, tag="again")
         for a, b in zip(quick_artifact.records, again.records):

@@ -13,7 +13,7 @@ from repro.core import (
     expanded_indices,
     replication_compaction,
 )
-from repro.core.ops import stable_order
+from repro.core.ops import back_to_back_start, stable_order
 from repro.errors import OperationError
 
 
@@ -149,6 +149,39 @@ class TestAccessExpansionCompaction:
         assert out.size == 0
 
 
+@st.composite
+def segments(draw):
+    """``(shape, [(start, count), ...])``: back-to-back ranges (each
+    starting where the previous one ends, zero counts included), the same
+    with one later start off by one, or independent ranges.  A single
+    range is back to back by itself."""
+    shape = draw(st.sampled_from(["back-to-back", "near-miss", "independent"]))
+    counts = draw(
+        st.lists(
+            st.one_of(st.just(0), st.integers(min_value=0, max_value=8)),
+            min_size=2 if shape == "near-miss" else 1,
+            max_size=20,
+        )
+    )
+    if shape == "independent":
+        starts = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=60),
+                min_size=len(counts),
+                max_size=len(counts),
+            )
+        )
+        return shape, list(zip(starts, counts))
+    first = draw(st.integers(min_value=1, max_value=60))
+    starts = [first]
+    for count in counts[:-1]:
+        starts.append(starts[-1] + count)
+    if shape == "near-miss":
+        at = draw(st.integers(min_value=1, max_value=len(starts) - 1))
+        starts[at] += draw(st.sampled_from([-1, 1]))
+    return shape, list(zip(starts, counts))
+
+
 class TestExpandedIndices:
     def test_docstring_example(self):
         out = expanded_indices(np.array([5, 0]), np.array([2, 3]))
@@ -174,6 +207,40 @@ class TestExpandedIndices:
         cnt = np.array([p[1] for p in pairs], dtype=np.int64)
         expected = [i + k for i, c in pairs for k in range(c)]
         assert list(expanded_indices(idx, cnt)) == expected
+
+    @given(segments())
+    @settings(max_examples=150, deadline=None)
+    def test_back_to_back_and_ragged_match_python_loops(self, drawn):
+        shape, pairs = drawn
+        idx = np.array([p[0] for p in pairs], dtype=np.int64)
+        cnt = np.array([p[1] for p in pairs], dtype=np.int64)
+        expected = [i + k for i, c in pairs for k in range(c)]
+        out = expanded_indices(idx, cnt)
+        assert out.dtype == np.int64
+        assert list(out) == expected
+        chained = all(b[0] == a[0] + a[1] for a, b in zip(pairs, pairs[1:]))
+        assert (back_to_back_start(idx, cnt) is not None) == (bool(pairs) and chained)
+        if shape == "back-to-back":
+            assert back_to_back_start(idx, cnt) == pairs[0][0]
+        if shape == "near-miss":
+            assert back_to_back_start(idx, cnt) is None
+
+    def test_back_to_back_is_one_run(self):
+        out = expanded_indices(np.array([3, 5, 5, 9]), np.array([2, 0, 4, 1]))
+        assert list(out) == list(range(3, 10))
+        assert back_to_back_start(np.array([3, 5, 5, 9]), np.array([2, 0, 4, 1])) == 3
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(OperationError, match="indexes length 3 != count length 2"):
+            expanded_indices(np.array([5, 0, 9]), np.array([2, 3]))
+
+    def test_shorter_indexes_rejected(self):
+        with pytest.raises(OperationError, match="indexes length 1 != count length 2"):
+            expanded_indices(np.array([5]), np.array([2, 3]))
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(OperationError, match="non-negative"):
+            expanded_indices(np.array([5, 0]), np.array([2, -1]))
 
 
 class TestCompactionProperties:

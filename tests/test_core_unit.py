@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import build_system
+from repro.core import build_system, ops, unit
 from repro.errors import ConfigError, OperationError
+from repro.graph.generators import generate_delaunay, generate_kron
+from repro.obs import make_observability
 from repro.phases import Engine, PhaseKind
 
 
@@ -86,6 +88,13 @@ class TestOperationsThroughUnit:
             edges, offsets, degrees, reorder=perm
         )
         assert list(out.values) == [13, 12, 11, 10]
+
+    def test_length_mismatch_rejected_once(self, system):
+        edges = place(system, "edges", np.arange(8))
+        offsets = place(system, "off", [0, 3, 5])
+        degrees = place(system, "deg", [3, 2])
+        with pytest.raises(OperationError, match="indexes length 3 != count length 2"):
+            system.scu.access_expansion_compaction(edges, offsets, degrees)
 
     def test_reorder_length_checked(self, system):
         data = place(system, "d", [1, 2, 3])
@@ -173,3 +182,58 @@ class TestCostSanity:
         spec.store(data.addresses())
         gpu_report = system.gpu.run(spec)
         assert scu_report.dynamic_energy_j < gpu_report.dynamic_energy_j
+
+
+class TestBackToBackExpansion:
+    """An expansion whose ranges are back to back (a whole CSR adjacency,
+    as PageRank issues every iteration) walks the data as one range; the
+    explicit gather stays the spec it must match."""
+
+    GRAPHS = {
+        "delaunay": generate_delaunay(num_points=2048, seed=5),
+        # Zero-degree nodes: empty ranges inside the run.
+        "kron": generate_kron(scale=9, edge_factor=4, seed=6),
+    }
+
+    @staticmethod
+    def _expand(graph, bitmask=None):
+        obs = make_observability()
+        system = build_system("TX1", mode="scu-basic", obs=obs)
+        edges = system.ctx.array("edges", graph.edges)
+        offsets = system.ctx.array("off", graph.offsets[:-1])
+        degrees = system.ctx.array("deg", graph.out_degrees)
+        mask = None if bitmask is None else system.ctx.bitmask("m", bitmask)
+        out, report = system.scu.access_expansion_compaction(
+            edges, offsets, degrees, mask, out="ef"
+        )
+        return out.values, report, obs.metrics.flat_snapshot()
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    @pytest.mark.parametrize("selection", ["all", "prefix", "scattered"])
+    def test_same_report_as_explicit_gather(self, name, selection, monkeypatch):
+        graph = self.GRAPHS[name]
+        n = graph.num_nodes
+        bitmask = {
+            "all": None,
+            "prefix": np.arange(n) < n // 3,
+            "scattered": np.arange(n) % 3 == 0,
+        }[selection]
+        values, report, metrics = self._expand(graph, bitmask)
+        monkeypatch.setattr(ops, "back_to_back_start", lambda idx, cnt: None)
+        want_values, want_report, want_metrics = self._expand(graph, bitmask)
+        assert values.tobytes() == want_values.tobytes()
+        assert report == want_report
+        assert report.time_s.hex() == want_report.time_s.hex()
+        assert report.dynamic_energy_j.hex() == want_report.dynamic_energy_j.hex()
+        assert report.memory.row_hit_fraction.hex() == (
+            want_report.memory.row_hit_fraction.hex()
+        )
+        assert metrics == want_metrics
+
+    def test_whole_adjacency_issues_no_gather(self, monkeypatch):
+        def gather_read(*args, **kwargs):
+            raise AssertionError("explicit gather issued for back-to-back ranges")
+
+        monkeypatch.setattr(unit, "gather_read", gather_read)
+        for graph in self.GRAPHS.values():
+            self._expand(graph)
