@@ -11,6 +11,11 @@ algorithm that issues the same stream in every iteration prices it once
 and hands the :class:`~repro.gpu.kernel.StreamCost` to each launch;
 ``run`` folds a cost exactly like a stream it prices itself, counter and
 histogram updates included, and the in-place pricing stays the spec.
+
+A stream's price is a fixed cost per call plus its elements: walks are
+priced in closed form, short gathers with plain Python ints
+(:data:`~repro.mem.coalescer.SMALL_STREAM`), and every value pricing
+builds is a named tuple.
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ device model turns those into coalesced transactions, cache traffic,
 time and energy.  This is the contract that lets a functional NumPy
 simulation drive a hardware cost model.  An in-order walk is passed as
 its :class:`~repro.mem.address_space.AddressRange`; the device prices it
-without building the address array.
+without building the address array, and an atomic walk counts its
+``count`` addresses.  Every stream a launch names is an
+:class:`AccessStream`, a named tuple.
 
 A stream that is the same in every launch of a loop (PageRank's
 rank-update scatter) can be priced once with
@@ -39,9 +41,18 @@ def _stream(addresses) -> "np.ndarray | AddressRange":
     return np.asarray(addresses, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class AccessStream:
-    """One global-memory access pattern issued by a kernel."""
+def _length(addresses: "np.ndarray | AddressRange") -> int:
+    """Accesses in a stream: a range counts its addresses, not its fields."""
+    if isinstance(addresses, AddressRange):
+        return addresses.count
+    return addresses.size
+
+
+class AccessStream(NamedTuple):
+    """One global-memory access pattern issued by a kernel.
+
+    Immutable; a named tuple because every stream a launch names is one.
+    """
 
     #: byte address per thread/element, thread order (or an in-order walk)
     addresses: "np.ndarray | AddressRange"
@@ -186,5 +197,5 @@ class KernelSpec:
     @property
     def atomic_count(self) -> int:
         return sum(
-            stream.addresses.size for stream in self.streams if stream.is_atomic
+            _length(stream.addresses) for stream in self.streams if stream.is_atomic
         )

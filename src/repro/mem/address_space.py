@@ -12,7 +12,10 @@ vector, a CSR prefix — is described by an :class:`AddressRange`
 (``base``, ``count``, ``stride``) from ``span()`` rather than an array of
 its addresses: the coalescers and the L2/DRAM model price such a walk
 in closed form.  Gathers, hash probes and anything else indexed go
-through ``addresses(indices)`` as explicit ``int64`` arrays.
+through ``addresses(indices)`` as explicit ``int64`` arrays.  Every walk
+a kernel names builds a range, so :class:`AddressRange` is a
+``__slots__`` class rather than a dataclass: immutable, cheap to build,
+and not a sequence.
 """
 
 from __future__ import annotations
@@ -24,37 +27,72 @@ import numpy as np
 from ..errors import SimulationError
 
 
-@dataclass(frozen=True)
 class AddressRange:
     """The addresses ``base, base + stride, ...``: ``count`` of them.
 
     A non-decreasing address stream in three numbers.  ``np.asarray``
     materialises it as the ``int64`` array it stands for, which is what
     every consumer without a closed form for it sees.
+
+    Immutable, and deliberately not a sequence (no ``len``, iteration or
+    equality with a plain tuple): a stream is its addresses, and a
+    range must never pass for the three numbers that describe it.  A
+    ``__slots__`` class because every in-order walk a kernel names
+    builds one.
     """
 
-    base: int
-    count: int
-    stride: int
+    __slots__ = ("base", "count", "stride")
 
-    def __post_init__(self) -> None:
+    def __init__(self, base: int, count: int, stride: int) -> None:
         # Python ints: counts priced from a range feed reports exactly
         # like the explicit kernels' ``int`` counts.
-        for name in ("base", "count", "stride"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                object.__setattr__(self, name, int(value))
-        if self.count < 0 or self.stride < 0:
+        if type(base) is not int:
+            base = int(base)
+        if type(count) is not int:
+            count = int(count)
+        if type(stride) is not int:
+            stride = int(stride)
+        if count < 0 or stride < 0:
             raise SimulationError(
                 f"address range needs a non-negative count and stride, "
-                f"got count={self.count}, stride={self.stride}"
+                f"got count={count}, stride={stride}"
             )
+        _set_base(self, base)
+        _set_count(self, count)
+        _set_stride(self, stride)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"AddressRange is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"AddressRange is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not AddressRange:
+            return NotImplemented
+        return (self.base, self.count, self.stride) == (other.base, other.count, other.stride)
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.count, self.stride))
+
+    def __repr__(self) -> str:
+        return f"AddressRange(base={self.base}, count={self.count}, stride={self.stride})"
+
+    def __reduce__(self):
+        return AddressRange, (self.base, self.count, self.stride)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         addrs = np.arange(self.count, dtype=np.int64)
         addrs *= self.stride
         addrs += self.base
         return addrs if dtype is None else addrs.astype(dtype, copy=False)
+
+
+# The slots' own setters: ``__init__`` writes through them, past the
+# ``__setattr__`` that keeps a built range immutable.
+_set_base = AddressRange.base.__set__
+_set_count = AddressRange.count.__set__
+_set_stride = AddressRange.stride.__set__
 
 
 @dataclass

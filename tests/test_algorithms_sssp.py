@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import SystemMode, run_algorithm, sssp_reference
-from repro.algorithms.sssp import _dedup_best
+from repro.algorithms.sssp import _dedup_best, _dedup_best_reference
 from repro.graph import build_csr
 from repro.graph.generators import (
     generate_delaunay,
@@ -83,6 +85,45 @@ class TestDedupBest:
     def test_unique_dests_all_kept(self):
         keep = _dedup_best(np.arange(10), np.ones(10))
         assert keep.all()
+
+    @given(
+        st.integers(min_value=1, max_value=300).flatmap(
+            lambda n: st.tuples(
+                # Node ids, or the -1 of an entry that is not near; from
+                # a few ids (many duplicates) up to all distinct.
+                st.lists(st.integers(min_value=-1, max_value=n), min_size=n, max_size=n),
+                st.lists(
+                    st.one_of(
+                        # Few distinct costs (ties), and any float costs.
+                        st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5, np.inf]),
+                        st.floats(min_value=0.0, allow_nan=False),
+                    ),
+                    min_size=n,
+                    max_size=n,
+                ),
+            )
+        ),
+        st.sampled_from(["as drawn", "all sentinel", "one destination", "all infinite"]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_lexsort_reference(self, drawn, case):
+        dests, costs = (np.asarray(drawn[0], dtype=np.int64), np.asarray(drawn[1]))
+        if case == "all sentinel":
+            dests[:] = -1
+        elif case == "one destination":
+            dests[:] = 3
+        elif case == "all infinite":
+            costs[:] = np.inf
+        keep = _dedup_best(dests, costs)
+        assert keep.dtype == bool
+        assert keep.tolist() == _dedup_best_reference(dests, costs).tolist()
+
+    def test_tied_and_nan_costs_keep_the_first(self):
+        dests = np.array([4, 4, 4, -1, -1, 9, 9, 9])
+        costs = np.array([np.inf, 2.0, 2.0, np.nan, np.nan, np.nan, np.nan, np.inf])
+        keep = _dedup_best(dests, costs)
+        assert keep.tolist() == [False, True, False, True, False, False, False, True]
+        assert keep.tolist() == _dedup_best_reference(dests, costs).tolist()
 
 
 class TestReports:

@@ -49,6 +49,15 @@ class TestRunMicro:
         assert record.speedup is not None and record.speedup > 0
         assert record.sim["transactions"] > 0
 
+    def test_small_streams_have_numpy_reference(self, quick_artifact):
+        """The short-stream mix priced as it is (closed forms, plain-int
+        path) vs every stream through the numpy kernels, ranges
+        materialised; run_micro has already checked the checksums agree."""
+        record = {r.kernel: r for r in quick_artifact.records}["price.small_streams"]
+        assert record.reference_wall is not None
+        assert record.speedup is not None and record.speedup > 0
+        assert record.sim["transactions"] > 0 and record.sim["drain_s"] > 0
+
     def test_checksums_deterministic_across_runs(self, quick_artifact):
         again = run_micro(quick=True, reps=1, tag="again")
         for a, b in zip(quick_artifact.records, again.records):

@@ -16,7 +16,7 @@ from repro.algorithms.runner import execute_request
 from repro.backends.iru import IRU_TX1, IrregularAccessReorderUnit
 from repro.errors import SimulationError
 from repro.gpu import TX1, AccessStream, GpuDevice, KernelSpec, atomic_stream
-from repro.mem import AddressSpace
+from repro.mem import AddressRange, AddressSpace
 from repro.obs import make_observability
 from repro.phases import PhaseKind
 from repro.request import RunRequest
@@ -60,12 +60,16 @@ def _kernel(position: int, stream) -> KernelSpec:
 
 
 def _bits(value):
-    """A report as nested plain values, floats as their exact hex."""
+    """A report as nested plain values: every value with its type, floats
+    as their exact hex.  Dataclasses (the report) and named tuples (its
+    ``MemoryStats``) are walked field by field."""
     if dataclasses.is_dataclass(value):
-        return {f.name: _bits(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, float):
-        return value.hex()
-    return value
+        names = [f.name for f in dataclasses.fields(value)]
+    elif isinstance(value, tuple) and hasattr(value, "_fields"):
+        names = value._fields
+    else:
+        return type(value), value.hex() if isinstance(value, float) else value
+    return type(value), {name: _bits(getattr(value, name)) for name in names}
 
 
 @pytest.mark.parametrize("backend", ["gpu", "iru"])
@@ -106,6 +110,24 @@ def test_kernel_shape_counts_priced_streams():
     assert spec.atomic_count == N
     assert spec.streams[1] is STREAMS["atomic"]
     assert spec.trace_args() == _kernel(1, STREAMS["atomic"]).trace_args()
+
+
+@pytest.mark.parametrize("backend", ["gpu", "iru"])
+def test_atomic_range_runs_like_its_addresses(backend):
+    """An atomic stream may be a range: it counts its addresses, not the
+    range's three fields, and the run matches the one that names the
+    materialised addresses, report bits, trace args and metrics."""
+    walk = AddressRange(TARGETS.base + 4, 500, 4)
+    runs = []
+    for addresses in (walk, np.asarray(walk)):
+        obs = make_observability()
+        spec = _kernel(1, AccessStream(addresses, is_store=True, is_atomic=True))
+        report = _device(backend, obs).run(spec)
+        runs.append((spec.atomic_count, spec.trace_args(), _bits(report),
+                     obs.metrics.flat_snapshot()))
+    assert runs[0][0] == walk.count
+    assert runs[0][1]["atomics"] == walk.count
+    assert runs[0] == runs[1]
 
 
 def test_cost_from_another_device_rejected():
