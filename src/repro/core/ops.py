@@ -19,6 +19,8 @@ Access Expansion is split so the cost model can reuse its pieces:
 :func:`expanded_indices` builds the ragged element index (one
 ``np.arange`` when :func:`back_to_back_start` finds the ranges back to
 back), and the unit gathers values and prices addresses through it.
+:func:`expansion_run` also returns that run's start, so a cost model
+prices it as an in-order walk without checking the ranges again.
 """
 
 from __future__ import annotations
@@ -239,15 +241,22 @@ def expanded_indices(indexes: np.ndarray, count: np.ndarray) -> np.ndarray:
     the gather's *addresses*, not just its values.  Back-to-back ranges
     (:func:`back_to_back_start`) are one ``np.arange``.
     """
+    return expansion_run(indexes, count)[0]
+
+
+def expansion_run(indexes: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """:func:`expanded_indices`, and the start of the one run they are
+    when the ranges are back to back (:func:`back_to_back_start`; a whole
+    CSR adjacency), else ``None``."""
     idx, cnt = _ranges(indexes, count)
-    total = int(cnt.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
     start = back_to_back_start(idx, cnt)
+    total = int(cnt.sum())
     if start is not None:
-        return np.arange(start, start + total, dtype=np.int64)
+        return np.arange(start, start + total, dtype=np.int64), start
+    if total == 0:
+        return np.empty(0, dtype=np.int64), None
     # Standard ragged-range construction: exclusive-scan offsets + base.
     starts = exclusive_scan(cnt)
     flat = np.arange(total, dtype=np.int64)
     slot = np.repeat(np.arange(cnt.size, dtype=np.int64), cnt)
-    return idx[slot] + (flat - starts[slot])
+    return idx[slot] + (flat - starts[slot]), None

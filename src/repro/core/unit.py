@@ -46,6 +46,7 @@ from .hashtable import hash_slots, table_addresses
 from .pipeline import (
     ScuStream,
     bitmask_read,
+    expansion_addresses,
     gather_read,
     hash_probe,
     sequential_read,
@@ -293,7 +294,7 @@ class StreamCompactionUnit:
         idx, cnt = ops.expansion_ranges(
             data.values, indexes.values, count.values, mask_values
         )
-        gather_indices = ops.expanded_indices(idx, cnt)
+        gather_indices, run_start = ops.expansion_run(idx, cnt)
         expanded = data.values[gather_indices]
         if element_bitmask is not None:
             element_mask = np.asarray(element_bitmask.values, dtype=bool)
@@ -304,20 +305,16 @@ class StreamCompactionUnit:
                 )
             expanded = expanded[element_mask]
             gather_indices = gather_indices[element_mask]
+            run_start = None
         expanded = self._apply_reorder(expanded, reorder)
         out_array = self._output(out, expanded)
-        # Back-to-back ranges (a whole CSR adjacency) gather one sequential
-        # walk of the data, which the hierarchy prices in closed form.
-        start = None if element_bitmask is not None else ops.back_to_back_start(idx, cnt)
         streams = [
             sequential_read(indexes, role="indexes"),
             sequential_read(count, role="count"),
             *([] if bitmask is None else [bitmask_read(bitmask)]),
             *([] if element_bitmask is None else [bitmask_read(element_bitmask)]),
             *self._reorder_streams(reorder),
-            gather_read(data, gather_indices)
-            if start is None
-            else sequential_read(data, start=start, count=gather_indices.size),
+            ScuStream("data", expansion_addresses(data, gather_indices, run_start)),
             sequential_write(out_array),
         ]
         # Pipeline occupancy: with an element bitmask the unit still

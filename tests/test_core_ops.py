@@ -13,7 +13,7 @@ from repro.core import (
     expanded_indices,
     replication_compaction,
 )
-from repro.core.ops import back_to_back_start, stable_order
+from repro.core.ops import back_to_back_start, expansion_run, stable_order
 from repro.errors import OperationError
 
 
@@ -224,6 +224,9 @@ class TestExpandedIndices:
             assert back_to_back_start(idx, cnt) == pairs[0][0]
         if shape == "near-miss":
             assert back_to_back_start(idx, cnt) is None
+        run, start = expansion_run(idx, cnt)
+        assert run.dtype == np.int64 and list(run) == expected
+        assert start == back_to_back_start(idx, cnt)
 
     def test_back_to_back_is_one_run(self):
         out = expanded_indices(np.array([3, 5, 5, 9]), np.array([2, 0, 4, 1]))

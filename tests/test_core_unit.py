@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import build_system, ops, unit
+from repro.core import build_system, ops
 from repro.errors import ConfigError, OperationError
 from repro.graph.generators import generate_delaunay, generate_kron
+from repro.mem.address_space import DeviceArray
 from repro.obs import make_observability
 from repro.phases import Engine, PhaseKind
 
@@ -231,9 +232,9 @@ class TestBackToBackExpansion:
         assert metrics == want_metrics
 
     def test_whole_adjacency_issues_no_gather(self, monkeypatch):
-        def gather_read(*args, **kwargs):
+        def addresses(*args, **kwargs):
             raise AssertionError("explicit gather issued for back-to-back ranges")
 
-        monkeypatch.setattr(unit, "gather_read", gather_read)
+        monkeypatch.setattr(DeviceArray, "addresses", addresses)
         for graph in self.GRAPHS.values():
             self._expand(graph)
