@@ -6,16 +6,18 @@ through it, executes the requested primitive, and returns a
 :class:`~repro.request.RunOutcome` bundling the result array, the
 :class:`~repro.phases.RunReport` every experiment consumes, and the
 simulated system.  ``execute_request`` is the same entry point driven by
-a typed :class:`~repro.request.RunRequest`; ``cached_run`` memoizes
-whole runs under the request's canonical :meth:`cache_key` so one
-benchmark session (or a long-lived service) can assemble all six
-figures without re-simulating.
+a typed :class:`~repro.request.RunRequest`, and the only one the serve
+daemon simulates through, one request at a time (a micro-batch too).
+The tiered run cache (``get_cached_report`` / ``put_cached_report``: an
+LRU in memory over an optional on-disk L2 store) memoizes whole runs
+under the request's canonical :meth:`cache_key`, and ``cached_run``
+wraps the two so one benchmark session (or a long-lived service) can
+assemble all six figures without re-simulating.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional
 
 from ..backends import get_backend
 from ..core.api import PAPER_SCALE
@@ -63,9 +65,8 @@ def run_algorithm(
     observability bundle (see :mod:`repro.obs`) through the whole stack;
     tracing is passive and leaves every simulated number unchanged.
 
-    Returns a :class:`~repro.request.RunOutcome`; unpacking it as the
-    legacy ``result, report, system`` tuple is deprecated — use the
-    ``.result`` / ``.report`` / ``.system`` attributes.
+    Returns a :class:`~repro.request.RunOutcome`; read its ``.result``,
+    ``.report`` and ``.system`` attributes.
     """
     if algorithm not in ALGORITHMS:
         known = ", ".join(ALGORITHMS)
@@ -105,107 +106,6 @@ def execute_request(
         obs=obs,
         **dict(request.kwargs),
     )
-
-
-def batch_compatibility_key(request: RunRequest) -> Tuple[str, int, str]:
-    """Grouping key for cross-request fusion: ``(dataset, seed, gpu)``.
-
-    Requests sharing this key simulate against the *same* loaded graph,
-    so one load (and one warm accelerator working set) serves the whole
-    group.  ``mode``, ``memory_scale``, and the algorithm stay
-    per-request — they change the simulated system itself, not the
-    input data, and fusing across them would change per-request bits.
-    """
-    return (request.dataset, request.seed, request.gpu_name)
-
-
-@dataclass(frozen=True)
-class BatchItem:
-    """One request's result within a batched execution.
-
-    ``simulated`` is False when the report came from a cache tier (or a
-    duplicate earlier in the same batch); ``tier`` is ``"l1"``/``"l2"``
-    for cache hits, ``None`` when the batch actually simulated it.
-    """
-
-    request: RunRequest
-    report: RunReport
-    simulated: bool
-    tier: Optional[str] = None
-
-
-def run_batch(
-    requests: Sequence[RunRequest],
-    *,
-    obs: Observability | None = None,
-    use_cache: bool = True,
-) -> List[BatchItem]:
-    """Execute N requests as fused per-``(dataset, seed, gpu)`` groups.
-
-    For each compatibility group the graph is loaded **once** and every
-    distinct ``cache_key()`` is simulated **once** — duplicate requests
-    (and, with ``use_cache``, previously memoized ones probed through a
-    single :meth:`~repro.obs.LruCache.get_many` bulk lookup) reuse the
-    same report object.  Results come back in input order, and every
-    report is byte-identical to what :func:`execute_request` produces
-    for the same request: the batched path changes *when* work happens,
-    never what a request computes.
-    """
-    requests = list(requests)
-    results: List[Optional[BatchItem]] = [None] * len(requests)
-    groups: Dict[Tuple[str, int, str], List[int]] = {}
-    for position, request in enumerate(requests):
-        groups.setdefault(batch_compatibility_key(request), []).append(position)
-    for key, positions in groups.items():
-        dataset, seed, _gpu = key
-        # In-group dedupe: one simulation per distinct canonical key.
-        distinct: Dict[Tuple, List[int]] = {}
-        for position in positions:
-            distinct.setdefault(requests[position].cache_key(), []).append(position)
-        cached: Dict[Tuple, RunReport] = {}
-        tiers: Dict[Tuple, str] = {}
-        if use_cache:
-            cached = _RUN_CACHE.get_many(distinct.keys())
-            tiers = {cache_key: "l1" for cache_key in cached}
-            if _RESULT_STORE is not None:
-                for cache_key in distinct:
-                    if cache_key in cached:
-                        continue
-                    report = _RESULT_STORE.get(requests[distinct[cache_key][0]])
-                    if report is not None:
-                        cached[cache_key] = report
-                        tiers[cache_key] = "l2"
-                        _RUN_CACHE.put(cache_key, report)
-        # One load serves every simulated member of the group; a fully
-        # cached group never touches the dataset registry at all.
-        graph = None
-        if any(cache_key not in cached for cache_key in distinct):
-            graph = load_dataset(dataset, seed=seed)
-        for cache_key, members in distinct.items():
-            report = cached.get(cache_key)
-            simulated = report is None
-            if simulated:
-                leader = requests[members[0]]
-                report = run_algorithm(
-                    leader.algorithm,
-                    graph,
-                    leader.gpu_name,
-                    leader.mode,
-                    obs=obs,
-                    **dict(leader.kwargs),
-                ).report
-                if use_cache:
-                    put_cached_report(leader, report)
-            for index, position in enumerate(members):
-                results[position] = BatchItem(
-                    request=requests[position],
-                    report=report,
-                    # Only the first occurrence of a key counts as the
-                    # simulation; duplicates rode along for free.
-                    simulated=simulated and index == 0,
-                    tier=tiers.get(cache_key),
-                )
-    return [item for item in results if item is not None]
 
 
 #: LRU bound of the memoized-run cache: one benchmark session sweeps

@@ -12,6 +12,7 @@ schema carries an explicit version and loading validates it.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import platform
@@ -263,10 +264,18 @@ def collect_provenance() -> Dict[str, Any]:
     }
 
 
+@functools.lru_cache(maxsize=None)
 def _git_sha() -> str:
+    """The checkout's HEAD commit, resolved once per process.
+
+    Asked of the package's own directory, not the working directory, so
+    a process started elsewhere still names the code it runs; and asked
+    once, because every result-store write records it.
+    """
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
             capture_output=True,
             text=True,
             timeout=5,

@@ -394,13 +394,6 @@ def _cmd_bench(args) -> int:
 def _cmd_serve(args) -> int:
     from .serve import ServiceConfig, run_service
 
-    if args.isolate and args.batch_window_ms > 0:
-        print(
-            "error: --batch-window-ms is incompatible with --isolate "
-            "(a micro-batch runs in-process)",
-            file=sys.stderr,
-        )
-        return 1
     config = ServiceConfig(
         host=args.host,
         port=args.port,
@@ -579,6 +572,76 @@ def _cmd_info(_args) -> int:
     return 0
 
 
+#: Options more than one command takes, declared once: ``serve`` and
+#: ``cluster`` share a listener and its store, ``loadtest`` configures
+#: the server it starts in-process, and ``bench`` and ``loadtest`` both
+#: write and compare artifacts.  ``--port`` has a per-command default.
+SHARED_OPTIONS = {
+    "--host": dict(default="127.0.0.1", help="address to listen on (default 127.0.0.1)"),
+    "--port": dict(
+        type=int,
+        help="TCP port to listen on (0 picks a free port; default %(default)s)",
+    ),
+    "--queue-depth": dict(
+        type=int, default=8, metavar="N",
+        help="admission-queue bound of each server; requests beyond it get "
+        "a 429 with a Retry-After hint (default 8)",
+    ),
+    "--request-timeout": dict(
+        type=float, default=None, metavar="SECONDS",
+        help="per-request deadline inside each server; a request past it "
+        "gets a 504 (default: none)",
+    ),
+    "--retry-after": dict(
+        type=float, default=1.0, metavar="SECONDS",
+        help="Retry-After hint attached to 429 and 503 rejections "
+        "(default 1.0)",
+    ),
+    "--store-dir": dict(
+        metavar="DIR", default=None,
+        help="persistent L2 result-store directory, shared by every "
+        "worker; a warm one serves cold starts byte-identical responses "
+        "from disk (default: memory only)",
+    ),
+    "--store-max-mb": dict(
+        type=int, default=256, metavar="MB",
+        help="L2 store size bound; least-recently-used entries are "
+        "evicted beyond it (default 256)",
+    ),
+    "--batch-window-ms": dict(
+        type=float, default=0.0, metavar="MS",
+        help="micro-batching admission window: a cache-miss leader waits "
+        "up to MS for compatible (same dataset x GPU) requests, and the "
+        "batch runs as one queue task (default 0: disabled; incompatible "
+        "with --isolate)",
+    ),
+    "--batch-max": dict(
+        type=int, default=8, metavar="N",
+        help="micro-batch size cap; a window seals early once N requests "
+        "have joined (default 8)",
+    ),
+    "--tag": dict(default=None, help="artifact tag (default: short git SHA)"),
+    "--out": dict(
+        default=None,
+        help="artifact path (default BENCH_<tag>.json, BENCH_micro_<tag>.json "
+        "or BENCH_serve_<tag>.json)",
+    ),
+    "--compare": dict(
+        metavar="BASELINE.json", default=None,
+        help="diff this run against a baseline artifact of the same kind; "
+        "exit 2 on regression",
+    ),
+    "--no-progress": dict(action="store_true", help="suppress progress lines"),
+}
+
+
+def _add_shared(parser: argparse.ArgumentParser, *flags: str, **defaults) -> None:
+    """Add the named :data:`SHARED_OPTIONS` to one command's parser."""
+    for flag in flags:
+        parser.add_argument(flag, **SHARED_OPTIONS[flag])
+    parser.set_defaults(**defaults)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -699,18 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-clock repetitions per grid cell (default 3)",
     )
     bench_parser.add_argument(
-        "--tag", default=None,
-        help="artifact tag (default: short git SHA)",
-    )
-    bench_parser.add_argument(
-        "--out", default=None,
-        help="artifact path (default BENCH_<tag>.json)",
-    )
-    bench_parser.add_argument(
-        "--compare", metavar="BASELINE.json", default=None,
-        help="diff this run against a baseline artifact; exit 2 on regression",
-    )
-    bench_parser.add_argument(
         "--wall-tolerance", type=float, default=50.0, metavar="PCT",
         help="relative wall-clock slowdown tolerated by --compare "
         "(percent; <= 0 disables wall gating, e.g. across machines)",
@@ -746,37 +797,28 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-scoreboard", action="store_true",
         help="skip the paper-fidelity scoreboard sweep",
     )
-    bench_parser.add_argument(
-        "--no-progress", action="store_true",
-        help="suppress per-cell progress lines",
-    )
+    _add_shared(bench_parser, "--tag", "--out", "--compare", "--no-progress")
     bench_parser.set_defaults(func=_cmd_bench)
 
     serve_parser = commands.add_parser(
         "serve", help="run the long-lived HTTP simulation service"
     )
-    serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument(
-        "--port", type=int, default=8765,
-        help="TCP port to listen on (0 picks a free port; default 8765)",
+    _add_shared(
+        serve_parser,
+        "--host",
+        "--port",
+        "--queue-depth",
+        "--request-timeout",
+        "--retry-after",
+        "--store-dir",
+        "--store-max-mb",
+        "--batch-window-ms",
+        "--batch-max",
+        port=8765,
     )
     serve_parser.add_argument(
         "--workers", type=int, default=2, metavar="N",
         help="concurrent simulation workers (default 2)",
-    )
-    serve_parser.add_argument(
-        "--queue-depth", type=int, default=8, metavar="N",
-        help="admission-queue bound; requests beyond it get a 429 with "
-        "a Retry-After hint (default 8)",
-    )
-    serve_parser.add_argument(
-        "--request-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-request deadline; a request past it gets a 504 "
-        "(default: none)",
-    )
-    serve_parser.add_argument(
-        "--retry-after", type=float, default=1.0, metavar="SECONDS",
-        help="Retry-After hint attached to 429 rejections (default 1.0)",
     )
     serve_parser.add_argument(
         "--isolate", action="store_true",
@@ -809,28 +851,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-capacity", type=int, default=128, metavar="N",
         help="how many recent traces the span store retains (default 128)",
     )
-    serve_parser.add_argument(
-        "--store-dir", metavar="DIR", default=None,
-        help="persistent L2 result-store directory; cold starts serve "
-        "byte-identical responses from disk (default: memory only)",
-    )
-    serve_parser.add_argument(
-        "--store-max-mb", type=int, default=256, metavar="MB",
-        help="L2 store size bound; least-recently-used entries are "
-        "evicted beyond it (default 256)",
-    )
-    serve_parser.add_argument(
-        "--batch-window-ms", type=float, default=0.0, metavar="MS",
-        help="micro-batching admission window: a cache-miss leader "
-        "waits up to MS for compatible (same dataset x GPU) queued "
-        "requests and simulates them in one fused batched pass "
-        "(default 0: disabled; incompatible with --isolate)",
-    )
-    serve_parser.add_argument(
-        "--batch-max", type=int, default=8, metavar="N",
-        help="micro-batch size cap; a window seals early once N "
-        "requests have joined (default 8)",
-    )
     serve_parser.set_defaults(func=_cmd_serve)
 
     cluster_parser = commands.add_parser(
@@ -838,10 +858,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="run N repro serve workers behind a consistent-hash front "
         "router (cluster-wide single-flight)",
     )
-    cluster_parser.add_argument("--host", default="127.0.0.1")
-    cluster_parser.add_argument(
-        "--port", type=int, default=8788,
-        help="front router port (0 picks a free port; default 8788)",
+    _add_shared(
+        cluster_parser,
+        "--host",
+        "--port",
+        "--queue-depth",
+        "--request-timeout",
+        "--retry-after",
+        "--store-dir",
+        "--store-max-mb",
+        port=8788,
     )
     cluster_parser.add_argument(
         "--workers", type=int, default=2, metavar="N",
@@ -850,27 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_parser.add_argument(
         "--worker-threads", type=int, default=2, metavar="N",
         help="simulation worker pool inside each daemon (default 2)",
-    )
-    cluster_parser.add_argument(
-        "--queue-depth", type=int, default=8, metavar="N",
-        help="per-worker admission bound (default 8)",
-    )
-    cluster_parser.add_argument(
-        "--request-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-request deadline inside each worker (default: none)",
-    )
-    cluster_parser.add_argument(
-        "--store-dir", metavar="DIR", default=None,
-        help="shared L2 result-store directory mounted by every worker; "
-        "keys survive ring rebalances (default: memory only)",
-    )
-    cluster_parser.add_argument(
-        "--store-max-mb", type=int, default=256, metavar="MB",
-        help="shared store size bound (default 256)",
-    )
-    cluster_parser.add_argument(
-        "--retry-after", type=float, default=1.0, metavar="SECONDS",
-        help="Retry-After hint on routing 503s (default 1.0)",
     )
     cluster_parser.add_argument(
         "--health-interval", type=float, default=1.0, metavar="SECONDS",
@@ -923,55 +928,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     loadtest_parser.add_argument(
         "--url", default=None, metavar="URL",
-        help="target a running service instead of starting one in-process",
+        help="target a running service instead of starting one in-process "
+        "(which --workers, --cluster and the server options configure)",
     )
     loadtest_parser.add_argument(
         "--workers", type=int, default=2, metavar="N",
         help="in-process server worker pool (ignored with --url; default 2)",
     )
     loadtest_parser.add_argument(
-        "--queue-depth", type=int, default=8, metavar="N",
-        help="in-process server admission bound (ignored with --url; "
-        "default 8)",
-    )
-    loadtest_parser.add_argument(
-        "--request-timeout", type=float, default=None, metavar="SECONDS",
-        help="in-process server per-request deadline (ignored with --url)",
-    )
-    loadtest_parser.add_argument(
         "--cluster", type=int, default=0, metavar="N",
         help="drive an in-process N-worker cluster behind the "
         "consistent-hash front instead of a single server "
         "(ignored with --url; default 0 = single server)",
-    )
-    loadtest_parser.add_argument(
-        "--store-dir", metavar="DIR", default=None,
-        help="L2 result-store directory of the in-process "
-        "server/cluster; a warm directory makes the run cold-start "
-        "from disk (ignored with --url)",
-    )
-    loadtest_parser.add_argument(
-        "--batch-window-ms", type=float, default=0.0, metavar="MS",
-        help="micro-batching window of the in-process server/cluster "
-        "workers (ignored with --url; default 0: disabled)",
-    )
-    loadtest_parser.add_argument(
-        "--batch-max", type=int, default=8, metavar="N",
-        help="micro-batch size cap of the in-process server/cluster "
-        "workers (ignored with --url; default 8)",
-    )
-    loadtest_parser.add_argument(
-        "--tag", default=None,
-        help="artifact tag (default: short git SHA)",
-    )
-    loadtest_parser.add_argument(
-        "--out", default=None,
-        help="artifact path (default BENCH_serve_<tag>.json)",
-    )
-    loadtest_parser.add_argument(
-        "--compare", metavar="BASELINE.json", default=None,
-        help="diff this run against a baseline serve artifact; "
-        "exit 2 on regression",
     )
     loadtest_parser.add_argument(
         "--latency-tolerance", type=float, default=300.0, metavar="PCT",
@@ -994,9 +962,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the slowest successful request's stitched Chrome "
         "trace (client span + server spans) to PATH",
     )
-    loadtest_parser.add_argument(
-        "--no-progress", action="store_true",
-        help="suppress progress lines",
+    _add_shared(
+        loadtest_parser,
+        "--queue-depth",
+        "--request-timeout",
+        "--store-dir",
+        "--batch-window-ms",
+        "--batch-max",
+        "--tag",
+        "--out",
+        "--compare",
+        "--no-progress",
     )
     loadtest_parser.set_defaults(func=_cmd_loadtest)
 

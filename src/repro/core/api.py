@@ -18,7 +18,6 @@ implementations read like the paper.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -85,8 +84,7 @@ PAPER_SCALE = 16.0
 def build_system(
     gpu_name: str,
     *,
-    mode: "SystemMode | str | None" = None,
-    with_scu: bool | None = None,
+    mode: "SystemMode | str" = "scu-enhanced",
     scu_config: ScuConfig | None = None,
     memory_scale: float = 1.0,
     obs: Observability | None = None,
@@ -96,13 +94,7 @@ def build_system(
     ``mode`` names the accelerator backend to attach (any string from
     :func:`repro.backends.available_modes`, or a
     :class:`~repro.backends.modes.SystemMode` member).  The default,
-    ``"scu-enhanced"``, preserves this function's historical behaviour
-    of building the paper's full system.
-
-    ``with_scu`` is the deprecated boolean this signature grew up with;
-    it maps ``True`` to ``mode="scu-enhanced"`` and ``False`` to
-    ``mode="gpu"`` with a :class:`DeprecationWarning` and will be
-    removed in a future release — pass ``mode`` instead.
+    ``"scu-enhanced"``, builds the paper's full system.
 
     ``memory_scale`` divides the modeled L2 capacity and the SCU hash
     sizes to match scaled-down datasets (see :data:`PAPER_SCALE`).
@@ -112,22 +104,6 @@ def build_system(
     """
     from ..backends import get_backend  # runtime import: backends build on core
 
-    if with_scu is not None:
-        if mode is not None:
-            raise ConfigError(
-                "build_system: pass either mode= or the deprecated with_scu=, "
-                "not both"
-            )
-        warnings.warn(
-            "build_system(with_scu=...) is deprecated and will be removed; "
-            'pass mode="scu-enhanced" (with_scu=True) or mode="gpu" '
-            "(with_scu=False) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        mode = "scu-enhanced" if with_scu else "gpu"
-    if mode is None:
-        mode = "scu-enhanced"
     return get_backend(mode).build_system(
         gpu_name,
         scu_config=scu_config,

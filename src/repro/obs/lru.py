@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, Iterable, Optional
+from typing import Any, Hashable, Optional
 
 from ..errors import ObservabilityError
 from .metrics import MetricsRegistry, global_metrics
@@ -78,27 +78,6 @@ class LruCache:
             return default
         self._count("hits")
         return value
-
-    def get_many(self, keys: Iterable[Hashable]) -> Dict[Hashable, Any]:
-        """Look up many keys under **one** lock acquisition.
-
-        The serve micro-batcher probes a whole admission window's worth
-        of cache keys at once; taking the lock per key would interleave
-        with writer threads N times on the hot path.  Returns only the
-        present entries (each refreshed, like :meth:`get`); hit/miss
-        counters reflect the whole probe.
-        """
-        keys = list(keys)
-        hits: Dict[Hashable, Any] = {}
-        with self._lock:
-            for key in keys:
-                value = self._data.get(key, _SENTINEL)
-                if value is not _SENTINEL:
-                    self._data.move_to_end(key)
-                    hits[key] = value
-        self._count("hits", len(hits))
-        self._count("misses", len(keys) - len(hits))
-        return hits
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert (or refresh) an entry, evicting LRU entries past capacity."""

@@ -9,10 +9,8 @@ its :meth:`RunRequest.cache_key` is the single key derivation all of
 them share, so a report computed through any entry point is a cache hit
 for every other.
 
-:class:`RunOutcome` replaces the anonymous ``(result, report, system)``
-3-tuple ``run_algorithm`` used to return.  Tuple-style unpacking still
-works but is **deprecated** (it warns and will be removed); read the
-``.result`` / ``.report`` / ``.system`` attributes instead.
+:class:`RunOutcome` is what ``run_algorithm`` returns: read its
+``.result`` / ``.report`` / ``.system`` attributes.
 
 Mode names are validated against the live accelerator-backend registry
 (:func:`repro.backends.available_modes`) — registering a new backend
@@ -24,9 +22,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -221,24 +218,8 @@ class RunOutcome:
     Read the named fields: ``.result`` (the algorithm's output array),
     ``.report`` (the :class:`~repro.phases.RunReport`), ``.system`` (the
     simulated :class:`~repro.core.api.ScuSystem`).
-
-    .. deprecated::
-        Iterating / unpacking as the legacy ``(result, report, system)``
-        tuple still yields the exact order of the anonymous tuple this
-        class replaced, but emits a :class:`DeprecationWarning` and will
-        be removed in a future release.
     """
 
     result: np.ndarray
     report: RunReport
     system: ScuSystem
-
-    def __iter__(self) -> Iterator[Any]:
-        warnings.warn(
-            "unpacking RunOutcome as a (result, report, system) tuple is "
-            "deprecated and will be removed; read the .result / .report / "
-            ".system attributes instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return iter((self.result, self.report, self.system))

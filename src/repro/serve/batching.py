@@ -1,13 +1,14 @@
 """Micro-batching admission window for the serve request path.
 
 With ``--batch-window-ms`` enabled, the first single-flight leader to
-arrive for a :func:`~repro.algorithms.runner.batch_compatibility_key`
-(dataset × seed × gpu) opens a *window*: compatible requests that show
-up within it join the same batch instead of each taking a worker-queue
-slot.  When the window expires — or the batch hits ``--batch-max`` —
-the window leader seals the batch and executes it as **one** queue task
-(:func:`~repro.algorithms.runner.run_batch`: one graph load, fused
-per-group simulation), then every member wakes with its own report.
+arrive for a :func:`batch_compatibility_key` (dataset × seed × gpu)
+opens a *window*: compatible requests that show up within it join the
+same batch instead of each taking a worker-queue slot.  When the window
+expires — or the batch hits ``--batch-max`` — the window leader seals
+the batch and hands it to the service, which runs it as **one** queue
+task of per-request simulations (the same body that runs a leader
+alone when no window is set); then every member wakes with its own
+report.
 
 The batcher sits *inside* single-flight: identical digests still
 coalesce onto one leader as before, and only distinct-but-compatible
@@ -24,7 +25,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..algorithms.runner import batch_compatibility_key
 from ..errors import ServiceTimeoutError
 from ..request import RunRequest
 
@@ -48,7 +48,20 @@ __all__ = [
     "BATCH_SIZE_BUCKETS",
     "BatchMember",
     "MicroBatcher",
+    "batch_compatibility_key",
 ]
+
+
+def batch_compatibility_key(request: RunRequest) -> Tuple[str, int, str]:
+    """Grouping key of a batching window: ``(dataset, seed, gpu)``.
+
+    Requests sharing this key simulate against the *same* registry
+    graph, which :func:`~repro.graph.datasets.load_dataset` memoizes, so
+    a batch loads it once.  ``mode``, ``memory_scale``, and the
+    algorithm stay per-request — they change the simulated system
+    itself, not the input data.
+    """
+    return (request.dataset, request.seed, request.gpu_name)
 
 
 @dataclass
@@ -67,6 +80,9 @@ class BatchMember:
     #: ``(trace_id, span_id)`` of the leader's ``serve.batch`` span, for
     #: non-leader members to link to from their own traces.
     link: Optional[Tuple[str, str]] = None
+    #: True once the batch simulated this member's report; False when
+    #: the worker's cache re-probe served it.
+    simulated: bool = False
 
 
 class _Batch:

@@ -5,32 +5,41 @@ validates them into typed :class:`~repro.request.RunRequest` objects,
 and executes them on a bounded worker pool.  The request path layers
 three protections, outermost first:
 
-1. **single-flight** — concurrent identical requests coalesce onto one
+1. **run cache** — completed reports land in the tiered run cache (the
+   process-wide LRU, and the L2 store with ``--store-dir``), so repeats
+   never reach the queue at all;
+2. **single-flight** — concurrent identical requests coalesce onto one
    leader; followers share its report (`serve.singleflight.coalesced_hits`);
-2. **admission control** — at most ``queue_depth`` requests wait for the
-   ``workers``-wide pool; overflow is a deterministic 429 + Retry-After;
-3. **run cache** — completed reports land in the process-wide LRU run
-   cache, so repeats after the burst never reach the queue at all.
+3. **admission control** — at most ``queue_depth`` requests wait for the
+   ``workers``-wide pool; overflow is a deterministic 429 + Retry-After.
 
-``--isolate`` additionally pushes each simulation into a fork-spawned
-child via :func:`~repro.harness.parallel.run_sweep` with
-``fallback=False``, so a per-request timeout genuinely kills the work
-instead of abandoning a thread.
+Every single-flight leader seals a batch and runs it as ONE queue task
+through one worker-side body: re-probe the cache, simulate the misses
+in order, store them.  With no ``--batch-window-ms`` the batch is the
+leader alone, run at once; with a window, compatible leaders meet in a
+:class:`~repro.serve.batching.MicroBatcher` first.  ``--isolate`` runs
+the simulate step in a fork-spawned child via
+:func:`~repro.harness.parallel.run_sweep` with ``fallback=False``, so a
+per-request timeout genuinely kills the work instead of abandoning a
+thread.
 
 Routes: ``POST /run``, ``GET /healthz``, ``GET /metrics`` (Prometheus
-text format, service + process-global registries).
+text format, service + process-global registries), and the
+``/debug/requests``, ``/debug/traces`` and ``/debug/trace/{id}`` views.
 """
 
 from __future__ import annotations
 
+import os
 import signal
 import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from ..algorithms import runner
 from ..errors import (
     ProtocolError,
     ReproError,
@@ -40,6 +49,7 @@ from ..errors import (
     ServiceUnavailableError,
 )
 from ..harness.parallel import SweepFailure, run_sweep
+from ..obs import make_observability
 from ..obs.lru import LruCache
 from ..obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -144,49 +154,41 @@ class ServiceConfig:
     #: Byte bound of the L2 store (LRU eviction by mtime beyond it).
     store_max_bytes: int = DEFAULT_STORE_MAX_BYTES
     #: Micro-batching admission window (milliseconds).  0 (the default)
-    #: disables batching entirely — the request path is exactly the
-    #: pre-batching single-flight one.  Positive: the first leader for a
-    #: ``(dataset, seed, gpu)`` compatibility key waits this long for
-    #: compatible requests, then the whole batch runs as ONE queue task
-    #: through :func:`~repro.algorithms.runner.run_batch`.
+    #: runs each single-flight leader as a batch of one, at once.
+    #: Positive: the first leader for a ``(dataset, seed, gpu)``
+    #: compatibility key waits this long for compatible requests, then
+    #: the whole batch runs as ONE queue task of per-request simulations.
     batch_window_ms: float = 0.0
     #: Seal a window early once this many requests joined.
     batch_max: int = 8
 
 
-def _isolated_run(request: RunRequest) -> RunReport:
-    """Sweep worker: simulate one request in a child process."""
-    from ..algorithms.runner import execute_request
+def _simulate_requests(task: Tuple) -> Tuple[List[RunReport], list]:
+    """Simulate a batch's cache misses in order; returns reports and spans.
 
-    return execute_request(request).report
-
-
-def _isolated_traced_run(request: RunRequest) -> Dict[str, Any]:
-    """Sweep worker: simulate one request AND ship its spans back.
-
-    The worker records per-phase spans under a local tracer, converts
-    them to wire-form span records (absolute wall-clock, no trace
-    identity yet — fork shares the parent's clocks), and returns them
-    over the existing result pipe; the parent re-parents them under its
-    ``serve.simulate`` span via :func:`~repro.obs.spans.reparent_spans`.
+    ``task`` is ``(requests, spans_under)``.  ``spans_under`` is ``None``
+    for an untraced batch, else ``(trace_id, parent_id)``: one tracer
+    records every request's phases, which come back as span records
+    hung under ``parent_id``.  A forked child (``--isolate``) is given
+    ``("", None)`` and ships its spans back trace-less, on a track named
+    after its pid, for the service to adopt with
+    :func:`~repro.obs.spans.reparent_spans`.
     """
-    import os
-
-    from ..algorithms.runner import execute_request
-    from ..obs import make_observability
-    from ..obs.spans import epoch_us_now
-
-    base_us = epoch_us_now()
+    requests, spans_under = task
+    if spans_under is None:
+        return [runner.execute_request(request).report for request in requests], []
+    trace_id, parent_id = spans_under
+    base_us = perf_to_epoch_us(time.perf_counter())
     obs = make_observability()
-    report = execute_request(request, obs=obs).report
+    reports = [runner.execute_request(request, obs=obs).report for request in requests]
     spans = spans_from_tracer(
         obs.tracer,
-        trace_id="",
-        parent_id=None,
+        trace_id=trace_id,
+        parent_id=parent_id,
         base_us=base_us,
-        process=f"worker-{os.getpid()}",
+        process="serve" if trace_id else f"worker-{os.getpid()}",
     )
-    return {"report": report, "spans": [span.to_dict() for span in spans]}
+    return reports, spans
 
 
 class SimulationService:
@@ -285,7 +287,9 @@ class SimulationService:
             if self.config.run_isolated:
                 raise ServiceError(
                     "micro-batching (batch_window_ms > 0) is incompatible "
-                    "with run_isolated: a batch runs in-process"
+                    "with run_isolated: isolation enforces each request's "
+                    "deadline by killing its child, and a batch would share "
+                    "one child, so one deadline would kill every member"
                 )
             for name in (
                 BATCH_REQUESTS_METRIC,
@@ -391,39 +395,24 @@ class SimulationService:
         so a client that has seen its response finds the stitched trace
         at ``/debug/trace/{trace_id}`` — read-your-writes.
         """
-        spans = [
-            SpanRecord(
-                trace_id=ctx.trace_id,
-                span_id=ctx.span_id,
-                parent_id=ctx.parent_span_id,
-                name="serve.request",
-                category="serve",
-                status="ok" if status < 400 else "error",
-                process="serve",
-                start_us=perf_to_epoch_us(ctx.started),
-                duration_us=total_s * 1e6,
-                attributes={
-                    "request_id": ctx.request_id,
-                    "outcome": ctx.outcome,
-                    "http.status": status,
-                },
-            )
-        ]
+        # The request's own spans go first, so the per-trace span cap
+        # drops phase spans before it drops the tree's root.
+        children, ctx.spans = ctx.spans, []
+        self._span(
+            ctx,
+            "serve.request",
+            ctx.started,
+            total_s,
+            span_id=ctx.span_id,
+            status="ok" if status < 400 else "error",
+            request_id=ctx.request_id,
+            outcome=ctx.outcome,
+            **{"http.status": status},
+        )
         if ctx.queue_entered is not None and ctx.queue_wait_s is not None:
-            spans.append(
-                SpanRecord(
-                    trace_id=ctx.trace_id,
-                    span_id=new_span_id(),
-                    parent_id=ctx.span_id,
-                    name="serve.queue_wait",
-                    category="serve",
-                    process="serve",
-                    start_us=perf_to_epoch_us(ctx.queue_entered),
-                    duration_us=ctx.queue_wait_s * 1e6,
-                )
-            )
-        spans.extend(ctx.spans)
-        self.spans.add(spans)
+            self._span(ctx, "serve.queue_wait", ctx.queue_entered, ctx.queue_wait_s)
+        ctx.spans.extend(children)
+        self.spans.add(ctx.spans)
 
     def log_access(self, method: str, path: str, status: int) -> None:
         """Access-log one non-/run request (no journal entry)."""
@@ -476,8 +465,6 @@ class SimulationService:
         self, request: RunRequest, ctx: Optional[RequestContext] = None
     ) -> Dict[str, Any]:
         """Execute (or coalesce, or reject) one validated run request."""
-        from ..algorithms.runner import get_cached_report
-
         digest = request.cache_digest()
         if ctx is not None:
             # One canonical string identity everywhere: this same digest
@@ -489,357 +476,173 @@ class SimulationService:
             raise ServiceUnavailableError("service is draining; not accepting work")
         self._count(REQUESTS_METRIC, route="run")
         probe_started = time.perf_counter()
-        report, tier = get_cached_report(request, with_tier=True)
+        report, tier = runner.get_cached_report(request, with_tier=True)
         if self.store is not None and tier != "l1":
-            # The probe reached the disk tier: record it as a span so
-            # store latency shows up in the request's trace tree.
-            self._record_store_span(
-                ctx, "serve.store.get", probe_started, tier=tier or "miss"
-            )
+            # The probe reached the disk tier: its latency belongs in
+            # the request's trace tree.
+            self._span(ctx, "serve.store.get", probe_started, tier=tier or "miss")
         if report is not None:
             if ctx is not None:
                 ctx.outcome = OUTCOME_CACHED
-        else:
-            wait_started = time.perf_counter()
-            # With batching on, the single-flight *leader* enters the
-            # micro-batch window; followers of the same digest coalesce
-            # exactly as before, so the layers compose: identical
-            # requests share one seat, compatible ones share one batch.
-            if self._batcher is not None:
-                leader_body = lambda: self._run_batched(request, ctx)  # noqa: E731
-            else:
-                leader_body = lambda: self._run_queued(request, ctx)  # noqa: E731
-            report = self._singleflight.do(
-                digest,
-                leader_body,
-                timeout_s=self.config.request_timeout_s,
+            return run_response(request, report)
+        wait_started = time.perf_counter()
+        report = self._singleflight.do(
+            digest,
+            lambda: self._lead(request, ctx),
+            timeout_s=self.config.request_timeout_s,
+        )
+        if ctx is not None and ctx.outcome is None:
+            # Our leader body never ran: a concurrent leader's did.  The
+            # wait links across traces to that leader's simulate span.
+            ctx.outcome = OUTCOME_COALESCED
+            self._span(
+                ctx,
+                "serve.coalesce_wait",
+                wait_started,
+                link=self._leader_spans.get(digest),
             )
-            if ctx is not None and ctx.outcome is None:
-                # Our closure never ran: a concurrent leader's did.
-                ctx.outcome = OUTCOME_COALESCED
-                if self.spans is not None and ctx.trace_id is not None:
-                    self._record_coalesce_span(ctx, request, wait_started)
         return run_response(request, report)
 
-    def _record_store_span(
-        self,
-        ctx: Optional[RequestContext],
-        name: str,
-        started: float,
-        **attributes: Any,
-    ) -> None:
-        """One L2 store operation as a span in the request's trace tree."""
-        if (
-            self.spans is None
-            or ctx is None
-            or ctx.trace_id is None
-            or ctx.span_id is None
-        ):
-            return
-        ctx.spans.append(
-            SpanRecord(
-                trace_id=ctx.trace_id,
-                span_id=new_span_id(),
-                parent_id=ctx.span_id,
-                name=name,
-                category="serve",
-                process="serve",
-                start_us=perf_to_epoch_us(started),
-                duration_us=(time.perf_counter() - started) * 1e6,
-                attributes=dict(attributes),
-            )
-        )
+    def _lead(self, request: RunRequest, ctx: Optional[RequestContext]) -> RunReport:
+        """Single-flight leader body: seal a batch and run it.
 
-    def _record_coalesce_span(
-        self, ctx: RequestContext, request: RunRequest, wait_started: float
-    ) -> None:
-        """A follower's wait span, linked to its leader's simulate span.
-
-        The link crosses traces: the leader simulated under *its own*
-        request's ``trace_id``, so the follower's trace records a link
-        — not a parent edge — pointing at that span.
+        Without a window the batch is this leader alone, run at once;
+        with one, compatible leaders meet in the micro-batcher first
+        (identical requests already share this seat through
+        single-flight, so a batch never holds one digest twice).
         """
-        links = []
-        leader = self._leader_spans.get(request.cache_digest())
-        if leader is not None:
-            leader_trace_id, leader_span_id = leader
-            links.append(
-                {"trace_id": leader_trace_id, "span_id": leader_span_id}
-            )
-        ctx.spans.append(
-            SpanRecord(
-                trace_id=ctx.trace_id,
-                span_id=new_span_id(),
-                parent_id=ctx.span_id,
-                name="serve.coalesce_wait",
-                category="serve",
-                process="serve",
-                start_us=perf_to_epoch_us(wait_started),
-                duration_us=(time.perf_counter() - wait_started) * 1e6,
-                links=links,
-            )
-        )
-
-    def _run_queued(
-        self, request: RunRequest, ctx: Optional[RequestContext]
-    ) -> RunReport:
-        """Single-flight leader body: admit to the queue and wait."""
-        if ctx is not None:
-            ctx.outcome = OUTCOME_SIMULATED
-        task = self._queue.submit(lambda: self._simulate(request, ctx))
-        try:
-            return self._queue.wait(
-                task, timeout_s=self.config.request_timeout_s
-            )
-        finally:
-            if ctx is not None:
-                ctx.queue_wait_s = task.queue_wait_s
-                ctx.queue_entered = task.submitted_at
-
-    def _run_batched(
-        self, request: RunRequest, ctx: Optional[RequestContext]
-    ) -> RunReport:
-        """Single-flight leader body when micro-batching is enabled."""
+        if self._batcher is None:
+            member = BatchMember(request=request, ctx=ctx)
+            self._execute_batch([member], time.perf_counter())
+            return member.report
         self._count(BATCH_REQUESTS_METRIC)
         wait_started = time.perf_counter()
         member = self._batcher.submit(
             request, ctx, timeout_s=self.config.request_timeout_s
         )
-        if (
-            not member.leader
-            and self.spans is not None
-            and ctx is not None
-            and ctx.trace_id is not None
-        ):
+        if not member.leader:
             # Mirror of the coalesce-wait link: this request rode in a
-            # batch another request led, so its trace records the wait
-            # with a cross-trace link to the leader's serve.batch span.
-            ctx.spans.append(
-                SpanRecord(
-                    trace_id=ctx.trace_id,
-                    span_id=new_span_id(),
-                    parent_id=ctx.span_id,
-                    name="serve.batch_wait",
-                    category="serve",
-                    process="serve",
-                    start_us=perf_to_epoch_us(wait_started),
-                    duration_us=(time.perf_counter() - wait_started) * 1e6,
-                    links=(
-                        [{"trace_id": member.link[0], "span_id": member.link[1]}]
-                        if member.link is not None
-                        else []
-                    ),
-                )
-            )
+            # batch another request led.
+            self._span(ctx, "serve.batch_wait", wait_started, link=member.link)
         return member.report
 
-    def _execute_batch(
-        self, members: "list[BatchMember]", opened: float
-    ) -> None:
-        """Window-leader body: run one sealed batch as ONE queue task.
+    def _execute_batch(self, members: "list[BatchMember]", opened: float) -> None:
+        """Run one sealed batch as ONE queue task, on its leader's thread.
 
-        Every member's context gets the shared queue-wait attribution
-        and its outcome (``batched`` when >= 2 requests fused, plain
-        ``simulated`` for a batch of one); the leader's trace carries
-        the ``serve.batch`` span the other members link to.
+        Every member gets the shared queue-wait attribution and, once the
+        batch ran, its outcome: ``cached`` when the worker's re-probe
+        found its report, else ``simulated`` (``batched`` when >= 2
+        requests shared a window).  In window mode the leader's trace
+        also carries the ``serve.batch`` span the other members link to.
         """
-        size = len(members)
-        lctx = members[0].ctx
-        traced = (
-            self.spans is not None and lctx is not None and lctx.trace_id is not None
-        )
-        batch_span_id = new_span_id() if traced else None
-        outcome = OUTCOME_BATCHED if size > 1 else OUTCOME_SIMULATED
-        for member in members:
-            if member.ctx is not None:
-                member.ctx.outcome = outcome
-        task = self._queue.submit(
-            lambda: self._simulate_batch(members, batch_span_id)
-        )
+        task = self._queue.submit(lambda: self._simulate(members))
         try:
-            items = self._queue.wait(task, timeout_s=self.config.request_timeout_s)
+            self._queue.wait(task, timeout_s=self.config.request_timeout_s)
         finally:
             for member in members:
                 if member.ctx is not None:
                     member.ctx.queue_wait_s = task.queue_wait_s
                     member.ctx.queue_entered = task.submitted_at
-        for member, item in zip(members, items):
-            member.report = item.report
+        size = len(members)
+        simulated = OUTCOME_BATCHED if size > 1 else OUTCOME_SIMULATED
+        for member in members:
+            if member.ctx is not None:
+                member.ctx.outcome = simulated if member.simulated else OUTCOME_CACHED
+        if self._batcher is None:
+            return
         self._count(BATCH_BATCHES_METRIC)
         if size > 1:
             self._count_n(BATCH_FUSED_METRIC, size)
         self._observe_value(BATCH_SIZE_METRIC, float(size))
-        if traced:
-            simulated = sum(1 for item in items if item.simulated)
-            lctx.spans.append(
-                SpanRecord(
-                    trace_id=lctx.trace_id,
-                    span_id=batch_span_id,
-                    parent_id=lctx.span_id,
-                    name="serve.batch",
-                    category="serve",
-                    process="serve",
-                    start_us=perf_to_epoch_us(opened),
-                    duration_us=(time.perf_counter() - opened) * 1e6,
-                    attributes={
-                        "batch_size": size,
-                        "simulated": simulated,
-                        "window_ms": self.config.batch_window_ms,
-                    },
-                )
-            )
-            link = (lctx.trace_id, batch_span_id)
-            for member in members:
-                member.link = link
-
-    def _simulate_batch(
-        self, members: "list[BatchMember]", batch_span_id: Optional[str]
-    ):
-        """Worker-side execution of one sealed batch (fused runner pass)."""
-        from ..algorithms.runner import run_batch
-
         lctx = members[0].ctx
-        traced = (
-            self.spans is not None and lctx is not None and lctx.trace_id is not None
+        batch_span_id = self._span(
+            lctx,
+            "serve.batch",
+            opened,
+            batch_size=size,
+            simulated=sum(member.simulated for member in members),
+            window_ms=self.config.batch_window_ms,
         )
-        requests = [member.request for member in members]
-        started = time.perf_counter()
-        if traced:
-            from ..obs import make_observability
+        if batch_span_id is not None:
+            for member in members:
+                member.link = (lctx.trace_id, batch_span_id)
 
-            obs = make_observability()
-            items = run_batch(requests, obs=obs)
-            child_spans = spans_from_tracer(
-                obs.tracer,
-                trace_id=lctx.trace_id,
-                parent_id=batch_span_id,
-                base_us=perf_to_epoch_us(started),
-                process="serve",
+    def _simulate(self, members: "list[BatchMember]") -> None:
+        """Worker-side body of one sealed batch; fills every member's report.
+
+        Re-probes each member (a leader that finished since the
+        handler's probe served it: not a simulation), simulates the
+        misses in order, records ``serve.simulate`` with their phase
+        spans beneath it on the leader's trace, and stores them.  With
+        ``--isolate`` only the simulate step runs in a child process, so
+        a cache hit forks nothing and each report reaches this process's
+        tiers once.
+        """
+        misses = []
+        for member in members:
+            member.report = runner.get_cached_report(member.request)
+            if member.report is None:
+                misses.append(member)
+        if not misses:
+            return
+        self._count_n(SIMULATIONS_METRIC, len(misses))
+        lctx = members[0].ctx
+        traced = self._traced(lctx)
+        sim_span_id = new_span_id() if traced else None
+        requests = [member.request for member in misses]
+        started = time.perf_counter()
+        if not self.config.run_isolated:
+            reports, spans = _simulate_requests(
+                (requests, (lctx.trace_id, sim_span_id) if traced else None)
             )
         else:
-            items = run_batch(requests)
-            child_spans = []
-        simulate_s = time.perf_counter() - started
-        # serve_simulations still means "requests actually simulated":
-        # cache hits and in-batch duplicates ride along uncounted, so
-        # handled = simulated + coalesced + cached keeps adding up.
-        simulated = sum(1 for item in items if item.simulated)
-        if simulated:
-            self._count_n(SIMULATIONS_METRIC, simulated)
-        for member in members:
-            if member.ctx is not None:
-                member.ctx.simulate_s = simulate_s
-                member.ctx.simulate_started = started
-        if traced:
-            lctx.sim_span_id = batch_span_id
-            lctx.spans.extend(child_spans)
-            # Coalesced followers of ANY member's digest link here.
-            for member in members:
-                self._leader_spans.put(
-                    member.request.cache_digest(),
-                    (lctx.trace_id, batch_span_id),
-                )
-        if self.telemetry:
-            self._observe_latency(SIMULATE_METRIC, simulate_s)
-        return items
-
-    def _simulate(
-        self, request: RunRequest, ctx: Optional[RequestContext] = None
-    ) -> RunReport:
-        """Worker-side execution of one admitted request."""
-        from ..algorithms.runner import (
-            execute_request,
-            get_cached_report,
-            put_cached_report,
-        )
-
-        # A previous leader may have finished between the handler's cache
-        # probe and this task reaching a worker.
-        report = get_cached_report(request)
-        if report is not None:
-            return report
-        self._count(SIMULATIONS_METRIC)
-        traced = (
-            self.spans is not None and ctx is not None and ctx.trace_id is not None
-        )
-        sim_span_id = new_span_id() if traced else None
-        started = time.perf_counter()
-        child_spans: list = []
-        if self.config.run_isolated:
-            report, worker_spans = self._simulate_isolated(
-                request, with_spans=traced
+            reports, spans = self._run_in_child(
+                (requests, ("", None) if traced else None)
             )
             if traced:
-                child_spans = reparent_spans(
-                    worker_spans,
-                    trace_id=ctx.trace_id,
+                spans = reparent_spans(
+                    spans,
+                    trace_id=lctx.trace_id,
                     parent_id=sim_span_id,
                     source="isolated worker",
                 )
-        elif traced:
-            from ..obs import make_observability
-
-            obs = make_observability()
-            report = execute_request(request, obs=obs).report
-            child_spans = spans_from_tracer(
-                obs.tracer,
-                trace_id=ctx.trace_id,
-                parent_id=sim_span_id,
-                base_us=perf_to_epoch_us(started),
-                process="serve",
-            )
-        else:
-            report = execute_request(request).report
         simulate_s = time.perf_counter() - started
-        if ctx is not None:
-            ctx.simulate_s = simulate_s
-            ctx.simulate_started = started
+        for member, report in zip(misses, reports):
+            member.report = report
+            member.simulated = True
+            if member.ctx is not None:
+                member.ctx.simulate_s = simulate_s
         if traced:
-            ctx.sim_span_id = sim_span_id
-            ctx.spans.append(
-                SpanRecord(
-                    trace_id=ctx.trace_id,
-                    span_id=sim_span_id,
-                    parent_id=ctx.span_id,
-                    name="serve.simulate",
-                    category="serve",
-                    process="serve",
-                    start_us=perf_to_epoch_us(started),
-                    duration_us=simulate_s * 1e6,
-                    attributes={
-                        "algorithm": request.algorithm,
-                        "mode": request.mode,
-                        "isolated": self.config.run_isolated,
-                    },
+            self._span(
+                lctx,
+                "serve.simulate",
+                started,
+                simulate_s,
+                span_id=sim_span_id,
+                algorithm=requests[0].algorithm,
+                mode=requests[0].mode,
+                isolated=self.config.run_isolated,
+            )
+            lctx.spans.extend(spans)
+            # Published so coalesced followers can link to this span.
+            for request in requests:
+                self._leader_spans.put(
+                    request.cache_digest(), (lctx.trace_id, sim_span_id)
                 )
-            )
-            ctx.spans.extend(child_spans)
-            # Publish so coalesced followers can link to this span.
-            self._leader_spans.put(
-                request.cache_digest(), (ctx.trace_id, sim_span_id)
-            )
         if self.telemetry:
             self._observe_latency(SIMULATE_METRIC, simulate_s)
         put_started = time.perf_counter()
-        put_cached_report(request, report)
+        for member in misses:
+            runner.put_cached_report(member.request, member.report)
         if self.store is not None:
-            self._record_store_span(ctx, "serve.store.put", put_started)
-        return report
+            self._span(lctx, "serve.store.put", put_started)
 
-    def _simulate_isolated(
-        self, request: RunRequest, *, with_spans: bool = False
-    ) -> Tuple[RunReport, list]:
-        """Run in a killable child process (hard per-request timeout).
-
-        With ``with_spans`` the child also records per-phase spans and
-        ships their wire form back over the result pipe; they come back
-        trace-less (``trace_id=""``) for the caller to re-parent.
-        """
-        worker = _isolated_traced_run if with_spans else _isolated_run
+    def _run_in_child(self, task: Tuple) -> Tuple[list, list]:
+        """:func:`_simulate_requests` in a killable child (hard deadline)."""
         try:
-            outcomes = run_sweep(
-                [request],
-                worker,
+            (outcome,) = run_sweep(
+                [task],
+                _simulate_requests,
                 jobs=2,  # >1 forces process isolation even for one task
                 timeout_s=self.config.request_timeout_s,
                 retries=0,
@@ -852,10 +655,57 @@ class SimulationService:
                     f"{self.config.request_timeout_s}s"
                 ) from failure
             raise ServiceError(f"isolated simulation failed: {failure}") from failure
-        value = outcomes[0].value
-        if with_spans:
-            return value["report"], value["spans"]
-        return value, []
+        return outcome.value
+
+    def _traced(self, ctx: Optional[RequestContext]) -> bool:
+        return self.spans is not None and ctx is not None and ctx.trace_id is not None
+
+    def _span(
+        self,
+        ctx: Optional[RequestContext],
+        name: str,
+        started: float,
+        duration_s: Optional[float] = None,
+        *,
+        span_id: Optional[str] = None,
+        link: Optional[Tuple[str, str]] = None,
+        status: str = "ok",
+        **attributes: Any,
+    ) -> Optional[str]:
+        """Record one service span in ``ctx``'s trace; returns its id.
+
+        Does nothing (and returns ``None``) for an untraced request.
+        The request's own span (``span_id=ctx.span_id``) hangs off the
+        client's span, every other one off the request's.  ``link`` is
+        a ``(trace_id, span_id)`` in another request's trace; the
+        duration defaults to the time since ``started``.
+        """
+        if not self._traced(ctx):
+            return None
+        if span_id is None:
+            span_id = new_span_id()
+        if duration_s is None:
+            duration_s = time.perf_counter() - started
+        ctx.spans.append(
+            SpanRecord(
+                trace_id=ctx.trace_id,
+                span_id=span_id,
+                parent_id=(
+                    ctx.parent_span_id if span_id == ctx.span_id else ctx.span_id
+                ),
+                name=name,
+                category="serve",
+                status=status,
+                process="serve",
+                start_us=perf_to_epoch_us(started),
+                duration_us=duration_s * 1e6,
+                attributes=attributes,
+                links=(
+                    [] if link is None else [{"trace_id": link[0], "span_id": link[1]}]
+                ),
+            )
+        )
+        return span_id
 
     # -- introspection / lifecycle --------------------------------------
     def health(self) -> Dict[str, Any]:
@@ -1032,51 +882,53 @@ class RequestHandler(OneSendHandler):
             extra = (("Retry-After", f"{error.retry_after_s:g}"),)
         return status, encode(payload), extra
 
-    def _send_error(self, error: BaseException) -> None:
-        status, body, extra = self._error_response(error)
-        self._send(status, body, extra_headers=extra)
+    def _reply(
+        self, status: int, body: bytes, *, content_type: str = "application/json"
+    ) -> None:
+        """Access-log a non-/run response, then send it.
+
+        The same order ``/run`` keeps: a client that has seen the
+        response finds its line in the log, and a shutdown that closes
+        the log after the last response cannot race the write.
+        """
+        path = urllib.parse.urlsplit(self.path).path
+        self.service.log_access(self.command, path, status)
+        self._send(status, body, content_type=content_type)
 
     def _not_found(self) -> None:
-        self._send(
-            404,
-            encode(error_payload(404, "not-found", f"no route {self.path!r}")),
+        self._reply(
+            404, encode(error_payload(404, "not-found", f"no route {self.path!r}"))
         )
-        self.service.log_access("GET", self.path, 404)
 
     # -- verbs ----------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 — http.server API
         parsed = urllib.parse.urlsplit(self.path)
         if parsed.path == "/healthz":
-            self._send(200, encode(self.service.health()))
-            self.service.log_access("GET", parsed.path, 200)
+            self._reply(200, encode(self.service.health()))
         elif parsed.path == "/metrics":
-            body = self.service.metrics_text().encode("utf-8")
-            self._send(200, body, content_type="text/plain; charset=utf-8")
-            self.service.log_access("GET", parsed.path, 200)
+            self._reply(
+                200,
+                self.service.metrics_text().encode("utf-8"),
+                content_type="text/plain; charset=utf-8",
+            )
         elif parsed.path == "/debug/requests":
             limit = _journal_limit(parsed.query)
-            self._send(200, encode(self.service.journal_payload(limit)))
-            self.service.log_access("GET", parsed.path, 200)
+            self._reply(200, encode(self.service.journal_payload(limit)))
         elif parsed.path == "/debug/traces":
-            self._send(200, encode(self.service.traces_payload()))
-            self.service.log_access("GET", parsed.path, 200)
+            self._reply(200, encode(self.service.traces_payload()))
         elif parsed.path.startswith("/debug/trace/"):
             trace_id = parsed.path[len("/debug/trace/") :]
             raw = "1" in urllib.parse.parse_qs(parsed.query).get("raw", [])
             payload = self.service.trace_payload(trace_id, raw=raw)
             if payload is None:
-                self._send(
+                self._reply(
                     404,
                     encode(
-                        error_payload(
-                            404, "unknown-trace", f"no trace {trace_id!r}"
-                        )
+                        error_payload(404, "unknown-trace", f"no trace {trace_id!r}")
                     ),
                 )
-                self.service.log_access("GET", parsed.path, 404)
             else:
-                self._send(200, encode(payload))
-                self.service.log_access("GET", parsed.path, 200)
+                self._reply(200, encode(payload))
         else:
             self._not_found()
 

@@ -75,9 +75,7 @@ class RequestContext:
     trace_id: Optional[str] = None
     span_id: Optional[str] = None  # the serve.request span
     parent_span_id: Optional[str] = None  # the client's span, if propagated
-    sim_span_id: Optional[str] = None  # the serve.simulate span (leaders)
     queue_entered: Optional[float] = None  # perf_counter at queue submit
-    simulate_started: Optional[float] = None  # perf_counter at worker pickup
     spans: List[Any] = field(default_factory=list)
 
     def record(self, *, status: int, total_s: float) -> Dict[str, Any]:

@@ -199,29 +199,11 @@ class TestUnknownModeEdges:
 
 
 # ---------------------------------------------------------------------------
-# The deprecated with_scu shim
+# build_system takes the mode keyword alone
 # ---------------------------------------------------------------------------
 
 
 class TestWithScuShim:
-    def test_with_scu_true_warns_and_builds_scu_enhanced(self):
-        with pytest.warns(DeprecationWarning, match="with_scu"):
-            system = build_system("TX1", with_scu=True)
-        assert system.backend.name == "scu-enhanced"
-        assert system.scu is not None
-
-    def test_with_scu_false_warns_and_builds_baseline(self):
-        with pytest.warns(DeprecationWarning, match='mode="gpu"'):
-            system = build_system("TX1", with_scu=False)
-        assert system.backend.name == "gpu"
-        assert system.scu is None
-
-    def test_mode_and_with_scu_together_is_an_error(self):
-        with pytest.raises(ConfigError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                build_system("TX1", mode="gpu", with_scu=True)
-
     def test_mode_keyword_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

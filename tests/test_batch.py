@@ -1,12 +1,12 @@
-"""Tests for batched execution: kernels, runner fusion, the serve window.
+"""Tests for batched execution: kernels and the serve window.
 
 The contract under test everywhere is *byte-identity*: a request
 batched with any set of compatible neighbours must produce exactly the
 bits the scalar path produces for it alone.  Kernel-level that is
 pinned per ragged row against the scalar references (property tests
 over ragged shapes, including empty rows and batches of 0/1);
-runner-level against :func:`execute_request`; serve-level against a
-non-batching service handling the same burst sequentially.
+serve-level against a non-batching service handling the same burst
+sequentially.
 """
 
 import json
@@ -19,13 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import clear_run_cache, execute_request
-from repro.algorithms.runner import (
-    BatchItem,
-    batch_compatibility_key,
-    run_batch,
-)
-from repro.backends import available_modes
+from repro.algorithms import clear_run_cache
 from repro.core import (
     HashTableConfig,
     batch_offsets,
@@ -44,10 +38,9 @@ from repro.core import (
     split_batch,
 )
 from repro.errors import ServiceError, ServiceTimeoutError
-from repro.obs.lru import LruCache
 from repro.request import RunRequest
 from repro.serve import ServiceConfig, SimulationService, make_server
-from repro.serve.batching import BatchMember, MicroBatcher
+from repro.serve.batching import MicroBatcher, batch_compatibility_key
 
 TABLE = HashTableConfig("t", capacity_bytes=64 * 4, ways=1, bytes_per_entry=4)
 COST_TABLE = HashTableConfig("tc", capacity_bytes=64 * 8, ways=1, bytes_per_entry=8)
@@ -210,80 +203,11 @@ class TestBatchedKernelsMatchScalar:
 
 
 # ---------------------------------------------------------------------------
-# LruCache.get_many
-# ---------------------------------------------------------------------------
-
-
-class TestGetMany:
-    def test_returns_only_hits(self):
-        cache = LruCache(capacity=4)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get_many(["a", "b", "c"]) == {"a": 1, "b": 2}
-
-    def test_counts_hits_and_misses_once(self):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        cache = LruCache(capacity=4, metrics_prefix="cache.c", registry=registry)
-        cache.put("a", 1)
-        cache.get_many(["a", "x", "y"])
-        snapshot = {
-            row["metric"]: row["value"] for row in registry.flat_snapshot()
-        }
-        assert snapshot["cache.c.hits"] == 1
-        assert snapshot["cache.c.misses"] == 2
-
-    def test_refreshes_recency(self):
-        cache = LruCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get_many(["a"])  # a becomes most-recent
-        cache.put("c", 3)  # evicts b, not a
-        assert cache.get("a") == 1
-        assert cache.get("b") is None
-
-
-# ---------------------------------------------------------------------------
-# run_batch == execute_request, per request
+# The batching window's compatibility key
 # ---------------------------------------------------------------------------
 
 
 class TestRunBatch:
-    def test_batched_reports_are_byte_identical_per_request(self):
-        from repro.serve import run_response
-
-        clear_run_cache()
-        requests = [
-            RunRequest.make("bfs", "delaunay", "TX1", mode)
-            for mode in available_modes()
-        ] + [RunRequest.make("sssp", "delaunay", "TX1", "scu-enhanced")]
-        items = run_batch(requests, use_cache=False)
-        assert [item.request for item in items] == requests
-        for request, item in zip(requests, items):
-            clear_run_cache()
-            solo = execute_request(request).report
-            assert run_response(request, item.report) == run_response(
-                request, solo
-            )
-        clear_run_cache()
-
-    def test_duplicate_requests_simulate_once(self):
-        clear_run_cache()
-        request = RunRequest.make("bfs", "delaunay", "TX1", "gpu")
-        items = run_batch([request, request], use_cache=False)
-        assert [item.simulated for item in items] == [True, False]
-        assert items[0].report is items[1].report
-
-    def test_cache_hits_do_not_simulate(self):
-        clear_run_cache()
-        request = RunRequest.make("bfs", "delaunay", "TX1", "gpu")
-        run_batch([request])
-        items = run_batch([request])
-        assert items[0].simulated is False
-        assert items[0].tier == "l1"
-        clear_run_cache()
-
     def test_compatibility_key_excludes_mode(self):
         a = RunRequest.make("bfs", "delaunay", "TX1", "gpu")
         b = RunRequest.make("bfs", "delaunay", "TX1", "scu-enhanced")

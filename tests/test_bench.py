@@ -1,9 +1,12 @@
 """Tests for the benchmark regression harness (repro.bench)."""
 
 import json
+import subprocess
+from pathlib import Path
 
 import pytest
 
+from repro.bench import record as bench_record
 from repro.bench import (
     SCHEMA_VERSION,
     BenchArtifact,
@@ -81,6 +84,37 @@ def make_artifact(records, tag="test") -> BenchArtifact:
         provenance=collect_provenance(),
         records=list(records),
     )
+
+
+class TestProvenance:
+    def test_git_sha_names_the_package_checkout_once(self, tmp_path, monkeypatch):
+        package_dir = Path(bench_record.__file__).resolve().parent
+        try:
+            head = subprocess.run(
+                ["git", "-C", str(package_dir), "rev-parse", "HEAD"],
+                capture_output=True,
+                text=True,
+                check=False,
+            )
+        except OSError:
+            pytest.skip("git is not installed")
+        if head.returncode != 0:
+            pytest.skip("the package is not in a git checkout")
+        bench_record._git_sha.cache_clear()
+        spawned = []
+        run = subprocess.run
+
+        def counting_run(command, *args, **kwargs):
+            if command[0] == "git":
+                spawned.append(command)
+            return run(command, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        monkeypatch.chdir(tmp_path)  # outside any checkout
+        first = collect_provenance()["git_sha"]
+        second = collect_provenance()["git_sha"]
+        assert first == second == head.stdout.strip()
+        assert len(spawned) <= 1
 
 
 class TestWallStats:

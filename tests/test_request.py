@@ -150,21 +150,9 @@ class TestWireFormat:
 
 
 class TestRunOutcome:
-    def test_tuple_unpacking_still_works_but_warns(self):
-        graph = load_dataset("human")
-        outcome = run_algorithm("bfs", graph, "TX1", SystemMode.GPU, source=0)
-        with pytest.warns(DeprecationWarning, match="RunOutcome"):
-            result, report, system = outcome
-        assert report.algorithm == "bfs"
-        assert system.config.name == "TX1"
-        assert result.shape == (graph.num_nodes,)
-
     def test_attribute_access(self):
         outcome = execute_request(RunRequest.make("bfs", "human", "TX1", SystemMode.GPU))
         assert isinstance(outcome, RunOutcome)
-        with pytest.warns(DeprecationWarning):
-            as_tuple = tuple(outcome)
-        assert outcome.report is as_tuple[1]
         assert outcome.system.has_scu is False
 
     def test_execute_request_matches_run_algorithm(self):

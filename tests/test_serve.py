@@ -21,7 +21,7 @@ import urllib.request
 
 import pytest
 
-from repro.algorithms import clear_run_cache, execute_request
+from repro.algorithms import clear_run_cache, execute_request, runner
 from repro.algorithms.common import SystemMode
 from repro.errors import (
     ServiceOverloadError,
@@ -231,9 +231,9 @@ class GatedService(SimulationService):
         super().__init__(config)
         self.release = threading.Event()
 
-    def _simulate(self, request, ctx=None):
+    def _simulate(self, members):
         self.release.wait(30.0)
-        return super()._simulate(request, ctx)
+        return super()._simulate(members)
 
 
 class CoalescingGatedService(SimulationService):
@@ -247,13 +247,13 @@ class CoalescingGatedService(SimulationService):
 
     expected = 7
 
-    def _simulate(self, request, ctx=None):
+    def _simulate(self, members):
         deadline = time.time() + 30.0
         while time.time() < deadline:
             if self.registry.counter(COALESCED_METRIC).total() >= self.expected:
                 break
             time.sleep(0.005)
-        return super()._simulate(request, ctx)
+        return super()._simulate(members)
 
 
 def _post(base, body, timeout=60.0):
@@ -318,6 +318,29 @@ class TestHttpService:
         _, second = _post(base, REQUEST_BODY)
         assert first == second
         assert service.registry.counter(SIMULATIONS_METRIC).total() == 1
+
+    def test_leader_served_by_its_reprobe_is_journaled_cached(
+        self, served, monkeypatch
+    ):
+        # The handler's probe misses, as if another leader stored the
+        # report just after it; the worker's re-probe then finds it.
+        service, base = served
+        request = RunRequest.make("bfs", "human", "TX1", "scu-enhanced")
+        report = execute_request(request).report
+        runner.put_cached_report(request, report)
+        get_cached_report = runner.get_cached_report
+
+        def probe_misses(request, *, with_tier=False):
+            if with_tier:
+                return None, None
+            return get_cached_report(request)
+
+        monkeypatch.setattr(runner, "get_cached_report", probe_misses)
+        status, body = _post(base, REQUEST_BODY)
+        assert status == 200
+        assert body == encode(run_response(request, report))
+        assert [r["outcome"] for r in service.journal.tail(None)] == ["cached"]
+        assert service.registry.counter(SIMULATIONS_METRIC).total() == 0
 
     def test_healthz(self, served):
         _, base = served
@@ -860,6 +883,55 @@ class TestRequestTelemetry:
         assert run_lines[0]["outcome"] == "simulated"
         assert any(l["path"] == "/healthz" for l in lines)
 
+    @staticmethod
+    def _access_log_lines(tmp_path, send):
+        log_path = tmp_path / "access.jsonl"
+        service = SimulationService(ServiceConfig(port=0, access_log=str(log_path)))
+        httpd, base = _start(service)
+        try:
+            send(base)
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+            service.drain(timeout_s=10.0)
+            service.close()
+        return [
+            (line["method"], line["path"], line["status"])
+            for line in map(json.loads, log_path.read_text().splitlines())
+        ]
+
+    def test_access_log_line_is_written_before_the_response(
+        self, tmp_path, monkeypatch
+    ):
+        # A line written after the response races the shutdown that
+        # closes the log: drain() does not wait for GET handlers.
+        log_access = SimulationService.log_access
+
+        def slow_log_access(self, method, path, status):
+            time.sleep(1.5)
+            log_access(self, method, path, status)
+
+        monkeypatch.setattr(SimulationService, "log_access", slow_log_access)
+
+        def send(base):
+            urllib.request.urlopen(base + "/healthz", timeout=10.0).read()
+
+        assert self._access_log_lines(tmp_path, send) == [("GET", "/healthz", 200)]
+
+    def test_unknown_routes_are_logged_with_their_method(self, tmp_path):
+        def send(base):
+            for data in (b"{}", None):
+                request = urllib.request.Request(base + "/nope", data=data)
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(request, timeout=10.0)
+                assert excinfo.value.code == 404
+                excinfo.value.read()
+
+        assert self._access_log_lines(tmp_path, send) == [
+            ("POST", "/nope", 404),
+            ("GET", "/nope", 404),
+        ]
+
     def test_telemetry_off_disables_journal_but_keeps_ids(self):
         clear_run_cache()
         service = SimulationService(ServiceConfig(port=0, telemetry=False))
@@ -1108,3 +1180,87 @@ class TestTracing:
             httpd.server_close()
             service.drain(timeout_s=10.0)
             clear_run_cache()
+
+
+# ---------------------------------------------------------------------------
+# One response, byte for byte, whatever serves it
+# ---------------------------------------------------------------------------
+
+#: Three distinct keys and a repeat of the first, sent as one burst.
+PINNED_REQUESTS = (
+    RunRequest.make("bfs", "human", "TX1", "gpu"),
+    RunRequest.make("bfs", "human", "TX1", "scu-enhanced"),
+    RunRequest.make("pagerank", "human", "TX1", "iru"),
+    RunRequest.make("bfs", "human", "TX1", "gpu"),
+)
+
+
+@pytest.fixture(scope="module")
+def pinned_responses():
+    """Each pinned request's bytes, straight from ``execute_request``."""
+    return [
+        encode(run_response(request, execute_request(request).report))
+        for request in PINNED_REQUESTS
+    ]
+
+
+def _burst(config):
+    """Post the pinned requests at once; (bodies, serve.simulations)."""
+    service = SimulationService(config)
+    httpd, base = _start(service)
+    bodies = [None] * len(PINNED_REQUESTS)
+
+    def send(index):
+        body = json.dumps(PINNED_REQUESTS[index].to_dict()).encode()
+        bodies[index] = _post(base, body)[1]
+
+    threads = [
+        threading.Thread(target=send, args=(index,))
+        for index in range(len(PINNED_REQUESTS))
+    ]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120.0)
+        assert not any(thread.is_alive() for thread in threads)
+        return bodies, service.registry.counter(SIMULATIONS_METRIC).total()
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        service.drain(timeout_s=10.0)
+        service.close()
+
+
+class TestResponseBytesAcrossConfigurations:
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            pytest.param({}, id="default"),
+            pytest.param({"tracing": False}, id="untraced"),
+            pytest.param({"telemetry": False}, id="no-telemetry"),
+            pytest.param({"run_isolated": True}, id="isolated"),
+            pytest.param({"batch_window_ms": 5.0}, id="window"),
+            pytest.param({"store_dir": "cold"}, id="store-cold-start"),
+        ],
+    )
+    def test_every_configuration_serves_the_same_bytes(
+        self, settings, pinned_responses, tmp_path
+    ):
+        distinct = len(set(PINNED_REQUESTS))
+        clear_run_cache()
+        try:
+            if settings.get("store_dir") == "cold":
+                # Warm the store, then serve from it with an empty L1.
+                settings = {"store_dir": str(tmp_path)}
+                bodies, simulations = _burst(ServiceConfig(port=0, **settings))
+                assert bodies == pinned_responses
+                assert simulations == distinct
+                clear_run_cache()
+                distinct = 0
+            bodies, simulations = _burst(ServiceConfig(port=0, **settings))
+            assert bodies == pinned_responses
+            assert simulations == distinct
+        finally:
+            clear_run_cache()
+
