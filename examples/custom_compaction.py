@@ -3,15 +3,16 @@
 
 Section 3 presents the SCU as a *programmable* unit with generic
 operations — stream compaction is a universal parallel primitive, not a
-graph-only trick.  This script writes a small ScuProgram that cleans a
-sensor-reading stream (drop invalid samples, then replicate each valid
-reading by its quality weight for a weighted histogram), and compares
-the offloaded run against doing the same movement with GPU kernels.
+graph-only trick.  This script calls four of them on the unit directly
+to clean a sensor-reading stream (drop invalid samples, then replicate
+each valid reading by its quality weight for a weighted histogram), and
+compares the offloaded run against doing the same movement with GPU
+kernels.
 """
 
 import numpy as np
 
-from repro.core import ScuProgram, build_system
+from repro.core import build_system
 from repro.gpu import KernelSpec
 from repro.phases import PhaseKind
 
@@ -24,34 +25,33 @@ def main():
     weights = rng.integers(1, 4, size=n)
 
     system = build_system("TX1")
-    buffers = {
-        "readings": system.ctx.array("readings", readings),
-        "weights": system.ctx.array("weights", weights),
-    }
+    scu = system.scu
+    readings_dev = system.ctx.array("readings", readings)
+    weights_dev = system.ctx.array("weights", weights)
 
-    program = (
-        ScuProgram("sensor.clean")
-        .add("bitmask", "valid", data="readings", comparison="ge", reference=0.0)
-        .add("data_compaction", "clean", data="readings", bitmask="valid")
-        .add("data_compaction", "clean_weights", data="weights", bitmask="valid")
-        .add("replication", "expanded", data="clean", count="clean_weights")
+    # Each operation returns its result array and the phase it cost.
+    valid, valid_phase = scu.bitmask_constructor(readings_dev, "ge", 0.0, out="valid")
+    clean, clean_phase = scu.data_compaction(readings_dev, valid, out="clean")
+    clean_weights, weights_phase = scu.data_compaction(
+        weights_dev, valid, out="clean_weights"
     )
-    print(program.describe())
-
-    env, reports = program.run(system.scu, buffers)
-    clean = env["clean"].values
-    expanded = env["expanded"].values
-    scu_time = sum(r.time_s for r in reports)
-    scu_energy = sum(r.dynamic_energy_j for r in reports)
+    expanded, expand_phase = scu.replication_compaction(
+        clean, clean_weights, out="expanded"
+    )
+    phases = [valid_phase, clean_phase, weights_phase, expand_phase]
+    for phase in phases:
+        print(f"{phase.name:40s} {phase.elements:7d} elements")
+    scu_time = sum(p.time_s for p in phases)
+    scu_energy = sum(p.dynamic_energy_j for p in phases)
 
     # Verify against plain NumPy.
-    valid = readings >= 0
-    assert np.array_equal(clean, readings[valid])
-    assert expanded.size == int(weights[valid].sum())
+    keep = readings >= 0
+    assert np.array_equal(clean.values, readings[keep])
+    assert expanded.size == int(weights[keep].sum())
 
     # The same data movement as GPU kernels, for comparison.
     gpu_time = gpu_energy = 0.0
-    for name, data_array in (("readings", buffers["readings"]), ("expanded", env["expanded"])):
+    for name, data_array in (("readings", readings_dev), ("expanded", expanded)):
         spec = KernelSpec(
             f"gpu.compact.{name}",
             PhaseKind.COMPACTION,
@@ -68,7 +68,7 @@ def main():
     print(f"\ninput samples     : {n}")
     print(f"valid samples     : {clean.size} ({100 * clean.size / n:.1f}%)")
     print(f"weighted samples  : {expanded.size}")
-    print(f"\nSCU program       : {scu_time * 1e3:7.3f} ms, {scu_energy * 1e3:7.3f} mJ")
+    print(f"\nSCU operations    : {scu_time * 1e3:7.3f} ms, {scu_energy * 1e3:7.3f} mJ")
     print(f"GPU equivalent    : {gpu_time * 1e3:7.3f} ms, {gpu_energy * 1e3:7.3f} mJ")
     print(f"energy advantage  : {gpu_energy / scu_energy:4.1f}x")
 

@@ -4,8 +4,8 @@ Holds the system-variant enum, the per-kernel instruction-cost constants
 (modeling the CUDA implementations the paper builds on), the GPU-side
 duplicate-culling models (:func:`warp_cull`, :func:`best_effort_cull`,
 each pinned to a plain-loop ``*_reference``; both sort with
-:func:`~repro.core.ops.stable_order`), and the device placement of a CSR
-graph.
+:func:`~repro.core.ops.stable_order`), and :class:`GraphOnDevice`, the
+run object every driver launches its phases through.
 """
 
 from __future__ import annotations
@@ -21,10 +21,12 @@ from ..backends.modes import SystemMode
 from ..core.api import ScuSystem
 from ..core.energy import scu_static_power_w
 from ..core.ops import stable_order
+from ..errors import SimulationError
 from ..gpu.energy import system_static_power_w
+from ..gpu.kernel import KernelSpec
 from ..graph.csr import CsrGraph
 from ..mem.address_space import DeviceArray
-from ..phases import RunReport
+from ..phases import PhaseKind, PhaseReport, RunReport
 
 
 #: Instruction-per-thread costs of the modeled CUDA kernels.  Derived
@@ -193,9 +195,16 @@ def warp_cull_reference(ids: np.ndarray, *, window: int = 32) -> np.ndarray:
 
 @dataclass
 class GraphOnDevice:
-    """A CSR graph placed in the simulated device memory."""
+    """One run of a graph primitive: its CSR graph placed in device
+    memory, the system and mode it runs on, and the report its phases
+    fill.  Drivers launch every GPU kernel through :meth:`kernel`, the
+    one place that prices a GPU compaction, and record every SCU
+    operation through :meth:`scu`."""
 
     graph: CsrGraph
+    system: ScuSystem
+    mode: SystemMode
+    report: RunReport
     offsets: DeviceArray
     edges: DeviceArray
     weights: DeviceArray
@@ -203,39 +212,73 @@ class GraphOnDevice:
     scan_scratch: DeviceArray  # prefix-sum intermediate storage
 
     @classmethod
-    def place(cls, graph: CsrGraph, system: ScuSystem, node_fill) -> "GraphOnDevice":
+    def place(
+        cls, algorithm: str, graph: CsrGraph, system: ScuSystem, mode: SystemMode,
+        node_fill,
+    ) -> "GraphOnDevice":
+        if mode is not SystemMode.GPU and not system.has_scu:
+            raise SimulationError(f"mode {mode.value} requires a system with an SCU")
         ctx = system.ctx
-        scratch_elems = max(graph.num_edges, graph.num_nodes, 1)
+        scratch = np.zeros(max(graph.num_edges, graph.num_nodes, 1), dtype=np.int64)
         return cls(
             graph=graph,
+            system=system,
+            mode=mode,
+            report=RunReport(algorithm=algorithm, system=mode.value, dataset=graph.name),
             offsets=ctx.array("csr.offsets", graph.offsets),
             edges=ctx.array("csr.edges", graph.edges),
             weights=ctx.array("csr.weights", graph.weights),
-            node_data=ctx.array(
-                "node.state", np.full(graph.num_nodes, node_fill)
-            ),
-            scan_scratch=ctx.array(
-                "scan.scratch", np.zeros(scratch_elems, dtype=np.int64)
-            ),
+            node_data=ctx.array("node.state", np.full(graph.num_nodes, node_fill)),
+            scan_scratch=ctx.array("scan.scratch", scratch),
         )
 
-    def add_scan_traffic(self, spec, n: int) -> None:
-        """Charge prefix-sum traffic to a GPU compaction kernel.
+    def kernel(
+        self, name: str, kind: PhaseKind, *, threads: int, cost: float,
+        scan: int = 0, passes: int = 1, loads=(), atomics=(), stores=(),
+    ) -> None:
+        """Launch one GPU kernel and record its phase.
 
-        Scan-based allocation (Merrill/Billeter) makes an upsweep read
-        pass and a downsweep write pass over its ``n`` inputs — memory
-        traffic GPU stream compaction pays and the SCU does not.
+        It issues ``loads``, then ``atomics``, then ``stores``, and pays
+        ``passes`` prefix sums over ``scan`` elements in instructions.  A
+        compaction kernel also runs at :data:`COMPACTION_MEMORY_EFFICIENCY`,
+        pays the host-side scan synchronisation and, after its own
+        streams, each pass's traffic: scan-based allocation
+        (Merrill/Billeter) reads its inputs in an upsweep and writes
+        them in a downsweep, which GPU stream compaction pays and the
+        SCU does not.
         """
-        if n <= 0:
-            return
-        if n <= self.scan_scratch.size:
-            addresses = self.scan_scratch.span(0, n)
-        else:
-            addresses = self.scan_scratch.addresses(
-                np.arange(n, dtype=np.int64) % self.scan_scratch.size
-            )
-        spec.load(addresses)
-        spec.store(addresses)
+        gpu = self.system.gpu
+        compaction = kind is PhaseKind.COMPACTION
+        spec = KernelSpec(
+            name, kind, threads=threads, instructions_per_thread=cost,
+            extra_instructions=int(passes * SCAN_OVERHEAD_PER_ELEMENT * scan),
+            memory_efficiency=COMPACTION_MEMORY_EFFICIENCY if compaction else 1.0,
+            extra_overhead_s=(
+                compaction_sync_overhead_s(gpu.config) if compaction else 0.0
+            ),
+        )
+        for addresses in loads:
+            spec.load(addresses)
+        for addresses in atomics:
+            spec.atomic(addresses)
+        for addresses in stores:
+            spec.store(addresses)
+        if compaction and scan > 0:
+            scratch = self.scan_scratch
+            if scan <= scratch.size:
+                walk = scratch.span(0, scan)
+            else:
+                walk = scratch.addresses(np.arange(scan, dtype=np.int64) % scratch.size)
+            for _ in range(passes):
+                spec.load(walk)
+                spec.store(walk)
+        self.report.add(gpu.run(spec))
+
+    def scu(self, operation: tuple[DeviceArray, PhaseReport]) -> DeviceArray:
+        """Record an SCU operation's phase; returns its result array."""
+        array, phase = operation
+        self.report.add(phase)
+        return array
 
 
 def finalize_report(report: RunReport, system: ScuSystem) -> RunReport:

@@ -27,16 +27,12 @@ from ..core.ops import expansion_run
 from ..core.pipeline import expansion_addresses
 from ..core.api import ScuSystem
 from ..errors import SimulationError
-from ..gpu.kernel import KernelSpec
 from ..graph.csr import CsrGraph
 from ..phases import PhaseKind, RunReport
 from .common import (
-    COMPACTION_MEMORY_EFFICIENCY,
     KERNEL_COSTS,
-    SCAN_OVERHEAD_PER_ELEMENT,
     GraphOnDevice,
     SystemMode,
-    compaction_sync_overhead_s,
     finalize_report,
 )
 
@@ -104,18 +100,12 @@ def run_connected_components(
     are symmetric (weak connectivity on an undirected graph) — which all
     Table 5 analogs are.
     """
-    if mode is not SystemMode.GPU and not system.has_scu:
-        raise SimulationError(f"mode {mode.value} requires a system with an SCU")
-
-    dev = GraphOnDevice.place(graph, system, np.int64(0))
+    dev = GraphOnDevice.place("connected_components", graph, system, mode, np.int64(0))
     labels = dev.node_data.values
     labels[:] = np.arange(graph.num_nodes, dtype=np.int64)
 
-    report = RunReport(
-        algorithm="connected_components", system=mode.value, dataset=graph.name
-    )
     ctx = system.ctx
-    gpu = system.gpu
+    scu = system.scu
     tracer = system.obs.tracer
     frontier_hist = system.obs.metrics.histogram("frontier.size")
 
@@ -136,21 +126,17 @@ def run_connected_components(
             indexes_dev = ctx.array("cc.indexes", indexes_values)
             count_dev = ctx.array("cc.count", count_values)
             label_dev = ctx.array("cc.labels", labels[frontier])
-            prepare = KernelSpec(
-                "cc.expand.prepare",
-                PhaseKind.PROCESSING,
-                threads=frontier.size,
-                instructions_per_thread=KERNEL_COSTS["expand.prepare"],
-                extra_instructions=int(SCAN_OVERHEAD_PER_ELEMENT * frontier.size),
+            dev.kernel(
+                "cc.expand.prepare", PhaseKind.PROCESSING, threads=frontier.size,
+                cost=KERNEL_COSTS["expand.prepare"], scan=frontier.size,
+                loads=(
+                    nf_dev.span(),
+                    dev.offsets.addresses(frontier),
+                    dev.offsets.addresses(frontier + 1),
+                    dev.node_data.addresses(frontier),
+                ),
+                stores=(indexes_dev.span(), count_dev.span(), label_dev.span()),
             )
-            prepare.load(nf_dev.span())
-            prepare.load(dev.offsets.addresses(frontier))
-            prepare.load(dev.offsets.addresses(frontier + 1))
-            prepare.load(dev.node_data.addresses(frontier))
-            prepare.store(indexes_dev.span())
-            prepare.store(count_dev.span())
-            prepare.store(label_dev.span())
-            report.add(gpu.run(prepare))
 
             gather_indices, run_start = expansion_run(indexes_values, count_values)
             ef_values = graph.edges[gather_indices]
@@ -160,70 +146,44 @@ def run_connected_components(
             if mode is SystemMode.GPU:
                 ef_dev = ctx.array("cc.ef", ef_values)
                 lf_dev = ctx.array("cc.lf", candidate_labels)
-                gather = KernelSpec(
-                    "cc.expand.gather",
-                    PhaseKind.COMPACTION,
-                    threads=ef_values.size,
-                    instructions_per_thread=KERNEL_COSTS["expand.gather"],
-                    extra_instructions=int(SCAN_OVERHEAD_PER_ELEMENT * frontier.size),
-                    memory_efficiency=COMPACTION_MEMORY_EFFICIENCY,
-                    extra_overhead_s=compaction_sync_overhead_s(gpu.config),
+                dev.kernel(
+                    "cc.expand.gather", PhaseKind.COMPACTION, threads=ef_values.size,
+                    cost=KERNEL_COSTS["expand.gather"], scan=frontier.size,
+                    loads=(
+                        indexes_dev.span(), count_dev.span(),
+                        expansion_addresses(dev.edges, gather_indices, run_start),
+                    ),
+                    stores=(ef_dev.span(), lf_dev.span()),
                 )
-                gather.load(indexes_dev.span())
-                gather.load(count_dev.span())
-                gather.load(expansion_addresses(dev.edges, gather_indices, run_start))
-                gather.store(ef_dev.span())
-                gather.store(lf_dev.span())
-                dev.add_scan_traffic(gather, frontier.size)
-                report.add(gpu.run(gather))
-                keep_mask = None
             else:
-                ef_dev, phase = system.scu.access_expansion_compaction(
+                ef_dev = dev.scu(scu.access_expansion_compaction(
                     dev.edges, indexes_dev, count_dev, out="cc.ef"
+                ))
+                lf_dev = dev.scu(
+                    scu.replication_compaction(label_dev, count_dev, out="cc.lf")
                 )
-                report.add(phase)
-                lf_dev, phase = system.scu.replication_compaction(
-                    label_dev, count_dev, out="cc.lf"
-                )
-                report.add(phase)
-                keep_mask = None
                 if mode is SystemMode.SCU_ENHANCED:
                     # Unique-best-cost filtering with labels as the cost: for
                     # every destination keep only the lowest candidate label
                     # seen (hash-lossy, exactly as in SSSP).
-                    mask_dev, phase = system.scu.filter_best_cost_pass(
-                        ef_dev, lf_dev, out="cc.filter"
+                    mask_dev = dev.scu(
+                        scu.filter_best_cost_pass(ef_dev, lf_dev, out="cc.filter")
                     )
-                    report.add(phase)
+                    ef_dev = dev.scu(scu.data_compaction(ef_dev, mask_dev, out="cc.ef.f"))
+                    lf_dev = dev.scu(scu.data_compaction(lf_dev, mask_dev, out="cc.lf.f"))
                     keep_mask = np.asarray(mask_dev.values, dtype=bool)
-                    ef_dev, phase = system.scu.data_compaction(
-                        ef_dev, mask_dev, out="cc.ef.f"
-                    )
-                    report.add(phase)
-                    lf_dev, phase = system.scu.data_compaction(
-                        lf_dev, mask_dev, out="cc.lf.f"
-                    )
-                    report.add(phase)
-
-            if keep_mask is not None:
-                ef_values = ef_values[keep_mask]
-                candidate_labels = candidate_labels[keep_mask]
+                    ef_values = ef_values[keep_mask]
+                    candidate_labels = candidate_labels[keep_mask]
 
             # ---- contraction: keep improving labels (GPU) -------------------------
             improving = candidate_labels < labels[ef_values]
-            process = KernelSpec(
-                "cc.contract.process",
-                PhaseKind.PROCESSING,
-                threads=ef_values.size,
-                instructions_per_thread=KERNEL_COSTS["contract.process"],
+            dev.kernel(
+                "cc.contract.process", PhaseKind.PROCESSING, threads=ef_values.size,
+                cost=KERNEL_COSTS["contract.process"],
+                loads=(ef_dev.span(), lf_dev.span(), dev.node_data.addresses(ef_values)),
+                atomics=(dev.node_data.addresses(ef_values[improving]),),
+                stores=(ctx.bitmask("cc.mask", improving).span(),),
             )
-            process.load(ef_dev.span())
-            process.load(lf_dev.span())
-            process.load(dev.node_data.addresses(ef_values))
-            process.atomic(dev.node_data.addresses(ef_values[improving]))
-            mask_dev2 = ctx.bitmask("cc.mask", improving)
-            process.store(mask_dev2.span())
-            report.add(gpu.run(process))
 
             candidates = np.unique(ef_values[improving])
             before = labels[candidates].copy()
@@ -236,27 +196,16 @@ def run_connected_components(
             next_mask = np.isin(ef_values, updated) & improving
             next_mask_dev = ctx.bitmask("cc.nextmask", next_mask)
             if mode is SystemMode.GPU:
-                compact = KernelSpec(
-                    "cc.contract.compact",
-                    PhaseKind.COMPACTION,
-                    threads=ef_values.size,
-                    instructions_per_thread=KERNEL_COSTS["contract.compact"],
-                    extra_instructions=int(SCAN_OVERHEAD_PER_ELEMENT * ef_values.size),
-                    memory_efficiency=COMPACTION_MEMORY_EFFICIENCY,
-                    extra_overhead_s=compaction_sync_overhead_s(gpu.config),
+                dev.kernel(
+                    "cc.contract.compact", PhaseKind.COMPACTION, threads=ef_values.size,
+                    cost=KERNEL_COSTS["contract.compact"], scan=ef_values.size,
+                    loads=(ef_dev.span(), next_mask_dev.span()),
+                    stores=(ctx.array("cc.nf.next", updated).span(),),
                 )
-                compact.load(ef_dev.span())
-                compact.load(next_mask_dev.span())
-                compact.store(ctx.array("cc.nf.next", updated).span())
-                dev.add_scan_traffic(compact, ef_values.size)
-                report.add(gpu.run(compact))
             else:
-                _, phase = system.scu.data_compaction(
-                    ef_dev, next_mask_dev, out="cc.nf.next"
-                )
-                report.add(phase)
+                dev.scu(scu.data_compaction(ef_dev, next_mask_dev, out="cc.nf.next"))
             frontier = updated
     else:
         raise SimulationError("CC failed to converge within the iteration budget")
 
-    return labels.copy(), finalize_report(report, system)
+    return labels.copy(), finalize_report(dev.report, system)

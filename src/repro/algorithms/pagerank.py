@@ -30,10 +30,7 @@ from ..gpu.kernel import KernelSpec, atomic_stream
 from ..graph.csr import CsrGraph
 from ..phases import PhaseKind, RunReport
 from .common import (
-    COMPACTION_MEMORY_EFFICIENCY,
-    compaction_sync_overhead_s,
     KERNEL_COSTS,
-    SCAN_OVERHEAD_PER_ELEMENT,
     GraphOnDevice,
     SystemMode,
     finalize_report,
@@ -54,17 +51,15 @@ def run_pagerank(
     max_iterations: int = 60,
 ) -> tuple[np.ndarray, RunReport]:
     """Run PageRank; returns (scores, phase-level cost report)."""
-    if mode is not SystemMode.GPU and not system.has_scu:
-        raise SimulationError(f"mode {mode.value} requires a system with an SCU")
     if not 0.0 < alpha < 1.0:
         raise SimulationError(f"alpha must be in (0, 1), got {alpha}")
 
-    dev = GraphOnDevice.place(graph, system, np.float64(1.0))
+    dev = GraphOnDevice.place("pagerank", graph, system, mode, np.float64(1.0))
     ranks = dev.node_data.values
 
-    report = RunReport(algorithm="pagerank", system=mode.value, dataset=graph.name)
     ctx = system.ctx
     gpu = system.gpu
+    scu = system.scu
     tracer = system.obs.tracer
 
     n = graph.num_nodes
@@ -82,18 +77,14 @@ def run_pagerank(
             # ---- expansion preparation (GPU, all modes) ------------------------
             contributions = np.where(degrees > 0, ranks / np.maximum(degrees, 1), 0.0)
             contrib_dev = ctx.array("pr.contrib", contributions)
-            prepare = KernelSpec(
-                "pr.expand.prepare",
-                PhaseKind.PROCESSING,
-                threads=n,
-                instructions_per_thread=KERNEL_COSTS["expand.prepare"],
-                extra_instructions=int(SCAN_OVERHEAD_PER_ELEMENT * n),
+            dev.kernel(
+                "pr.expand.prepare", PhaseKind.PROCESSING, threads=n,
+                cost=KERNEL_COSTS["expand.prepare"], scan=n,
+                loads=(
+                    dev.offsets.span(0, n), dev.offsets.span(1, n), dev.node_data.span()
+                ),
+                stores=(contrib_dev.span(),),
             )
-            prepare.load(dev.offsets.span(0, n))
-            prepare.load(dev.offsets.span(1, n))
-            prepare.load(dev.node_data.span())
-            prepare.store(contrib_dev.span())
-            report.add(gpu.run(prepare))
 
             ef_values = graph.edges
 
@@ -102,38 +93,31 @@ def run_pagerank(
                 wf_values = np.repeat(contributions, degrees)
                 ef_dev = ctx.array("pr.ef", ef_values)
                 wf_dev = ctx.array("pr.wf", wf_values)
-                gather = KernelSpec(
-                    "pr.expand.gather",
-                    PhaseKind.COMPACTION,
-                    threads=ef_values.size,
-                    instructions_per_thread=KERNEL_COSTS["expand.gather"],
-                    extra_instructions=int(SCAN_OVERHEAD_PER_ELEMENT * n),
-                    memory_efficiency=COMPACTION_MEMORY_EFFICIENCY,
-                    extra_overhead_s=compaction_sync_overhead_s(gpu.config),
+                dev.kernel(
+                    "pr.expand.gather", PhaseKind.COMPACTION, threads=ef_values.size,
+                    cost=KERNEL_COSTS["expand.gather"], scan=n,
+                    loads=(
+                        indexes_dev.span(),
+                        count_dev.span(),
+                        dev.edges.span(),  # every node's edges, in CSR order
+                        contrib_dev.span(),
+                    ),
+                    stores=(ef_dev.span(), wf_dev.span()),
                 )
-                gather.load(indexes_dev.span())
-                gather.load(count_dev.span())
-                gather.load(dev.edges.span())  # every node's edges, in CSR order
-                gather.load(contrib_dev.span())
-                gather.store(ef_dev.span())
-                gather.store(wf_dev.span())
-                dev.add_scan_traffic(gather, n)
-                report.add(gpu.run(gather))
             else:  # SCU offload (Algorithm 3): expansion + replication
-                ef_dev, phase = system.scu.access_expansion_compaction(
+                ef_dev = dev.scu(scu.access_expansion_compaction(
                     dev.edges, indexes_dev, count_dev, out="pr.ef"
+                ))
+                wf_dev = dev.scu(
+                    scu.replication_compaction(contrib_dev, count_dev, out="pr.wf")
                 )
-                report.add(phase)
-                wf_dev, phase = system.scu.replication_compaction(
-                    contrib_dev, count_dev, out="pr.wf"
-                )
-                report.add(phase)
                 wf_values = wf_dev.values
 
             # ---- rank update (GPU, all modes): atomicAdd per edge ---------------
             # bincount adds the weights in input order, as the atomics'
             # np.add.at spec in reference.py does: the same float sums.
             incoming = np.bincount(ef_values, weights=wf_values, minlength=n)
+            # The scatter is issued priced, so this kernel names its streams.
             update = KernelSpec(
                 "pr.rank_update",
                 PhaseKind.PROCESSING,
@@ -143,31 +127,23 @@ def run_pagerank(
             update.load(ef_dev.span())
             update.load(wf_dev.span())
             update.priced(scatter)
-            report.add(gpu.run(update))
+            dev.report.add(gpu.run(update))
 
             # ---- dampening (GPU, all modes) --------------------------------------
             new_ranks = alpha + (1.0 - alpha) * incoming
-            dampen = KernelSpec(
-                "pr.dampen",
-                PhaseKind.PROCESSING,
-                threads=n,
-                instructions_per_thread=KERNEL_COSTS["pr.dampen"],
+            dev.kernel(
+                "pr.dampen", PhaseKind.PROCESSING, threads=n,
+                cost=KERNEL_COSTS["pr.dampen"],
+                loads=(dev.node_data.span(),), stores=(dev.node_data.span(),),
             )
-            dampen.load(dev.node_data.span())
-            dampen.store(dev.node_data.span())
-            report.add(gpu.run(dampen))
 
             # ---- convergence check (GPU, all modes) ------------------------------
             delta = float(np.max(np.abs(new_ranks - ranks))) if n else 0.0
-            check = KernelSpec(
-                "pr.convergence",
-                PhaseKind.PROCESSING,
-                threads=n,
-                instructions_per_thread=KERNEL_COSTS["pr.convergence"],
+            dev.kernel(
+                "pr.convergence", PhaseKind.PROCESSING, threads=n,
+                cost=KERNEL_COSTS["pr.convergence"],
+                loads=(dev.node_data.span(), prev_ranks_dev.span()),
             )
-            check.load(dev.node_data.span())
-            check.load(prev_ranks_dev.span())
-            report.add(gpu.run(check))
 
             ranks[:] = new_ranks
             tracer.counter("pr.delta", delta=delta)
@@ -179,4 +155,4 @@ def run_pagerank(
         raise SimulationError(
             f"PageRank did not converge within {max_iterations} iterations"
         )
-    return ranks.copy(), finalize_report(report, system)
+    return ranks.copy(), finalize_report(dev.report, system)

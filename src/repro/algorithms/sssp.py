@@ -35,10 +35,7 @@ from ..graph.csr import CsrGraph
 from ..mem.address_space import DeviceArray
 from ..phases import PhaseKind, RunReport
 from .common import (
-    COMPACTION_MEMORY_EFFICIENCY,
-    compaction_sync_overhead_s,
     KERNEL_COSTS,
-    SCAN_OVERHEAD_PER_ELEMENT,
     GraphOnDevice,
     SystemMode,
     finalize_report,
@@ -109,8 +106,6 @@ def run_sssp(
     ``enable_grouping=False`` gives the enhanced SCU with filtering only
     — the baseline configuration of Figure 12.
     """
-    if mode is not SystemMode.GPU and not system.has_scu:
-        raise SimulationError(f"mode {mode.value} requires a system with an SCU")
     if source is None:
         source = pick_source(graph)
     if delta is None:
@@ -118,21 +113,19 @@ def run_sssp(
         # across our weight range and keeps round counts comparable.
         delta = max(float(np.mean(graph.weights)) if graph.num_edges else 1.0, 1.0)
 
-    dev = GraphOnDevice.place(graph, system, np.float64(np.inf))
-    dist = dev.node_data.values
-    dist[source] = 0.0
+    dev = GraphOnDevice.place("sssp", graph, system, mode, np.float64(np.inf))
+    dev.node_data.values[source] = 0.0
 
-    report = RunReport(algorithm="sssp", system=mode.value, dataset=graph.name)
     ctx = system.ctx
-    gpu = system.gpu
     tracer = system.obs.tracer
     frontier_hist = system.obs.metrics.histogram("frontier.size")
-    enhanced = mode is SystemMode.SCU_ENHANCED
+    grouping = mode is SystemMode.SCU_ENHANCED and enable_grouping
 
     nf = np.array([source], dtype=np.int64)
     far_edges = np.empty(0, dtype=np.int64)
     far_costs = np.empty(0, dtype=np.float64)
     threshold = delta
+    lookup = None  # the contraction lookup table, allocated at the first contraction
 
     for _ in range(max_rounds):
         if nf.size == 0:
@@ -144,8 +137,7 @@ def run_sssp(
                 # ---- far-pile consumption -------------------------------------
                 threshold += delta
                 nf, far_edges, far_costs = _consume_far(
-                    system, mode, dev, report, far_edges, far_costs, threshold,
-                    enable_grouping=enable_grouping,
+                    dev, lookup, far_edges, far_costs, threshold, grouping
                 )
             continue
 
@@ -156,195 +148,141 @@ def run_sssp(
             frontier_nodes=int(nf.size), far_edges=int(far_edges.size),
             threshold=threshold,
         ):
-            nf_dev = ctx.array("nf", nf)
-            ef_dev, wf_dev = _expand(
-                system, mode, dev, report, nf_dev, nf, enable_grouping=enable_grouping
-            )
-            ef = np.asarray(ef_dev.values, dtype=np.int64)
-            wf = np.asarray(wf_dev.values, dtype=np.float64)
+            ef_dev, wf_dev = _expand(dev, ctx.array("nf", nf), grouping)
+            if lookup is None:
+                lookup = ctx.array(
+                    "contract.lookup", np.zeros(graph.num_nodes, dtype=np.int64)
+                )
             nf, new_far_e, new_far_c = _contract(
-                system, mode, dev, report, ef_dev, wf_dev, ef, wf, threshold,
-                filtered_upstream=enhanced,
-                enable_grouping=enable_grouping,
+                dev, lookup, ef_dev, wf_dev, threshold, grouping
             )
             far_edges = np.concatenate([far_edges, new_far_e])
             far_costs = np.concatenate([far_costs, new_far_c])
     else:
         raise SimulationError("SSSP failed to converge within the round budget")
 
-    return dist.copy(), finalize_report(report, system)
+    return dev.node_data.values.copy(), finalize_report(dev.report, system)
 
 
 # ---------------------------------------------------------------------------
 
 
 def _expand(
-    system: ScuSystem,
-    mode: SystemMode,
-    dev: GraphOnDevice,
-    report: RunReport,
-    nf_dev: DeviceArray,
-    nf: np.ndarray,
-    *,
-    enable_grouping: bool = True,
+    dev: GraphOnDevice, nf_dev: DeviceArray, grouping: bool
 ) -> tuple[DeviceArray, DeviceArray]:
     """Expansion phase: node frontier -> edge + weight frontiers."""
-    ctx = system.ctx
-    gpu = system.gpu
+    ctx = dev.system.ctx
+    scu = dev.system.scu
     graph = dev.graph
-    dist = dev.node_data.values
+    nf = nf_dev.values
 
     indexes_values = graph.offsets[nf]
     count_values = graph.out_degrees[nf]
-    source_costs = dist[nf]
+    source_costs = dev.node_data.values[nf]
     indexes_dev = ctx.array("expand.indexes", indexes_values)
     count_dev = ctx.array("expand.count", count_values)
     cost_dev = ctx.array("expand.cost", source_costs)
-
-    prepare = KernelSpec(
-        "sssp.expand.prepare",
-        PhaseKind.PROCESSING,
-        threads=nf.size,
-        instructions_per_thread=KERNEL_COSTS["expand.prepare"],
-        extra_instructions=int(SCAN_OVERHEAD_PER_ELEMENT * nf.size),
+    dev.kernel(
+        "sssp.expand.prepare", PhaseKind.PROCESSING, threads=nf.size,
+        cost=KERNEL_COSTS["expand.prepare"], scan=nf.size,
+        loads=(
+            nf_dev.span(),
+            dev.offsets.addresses(nf),
+            dev.offsets.addresses(nf + 1),
+            dev.node_data.addresses(nf),
+        ),
+        stores=(indexes_dev.span(), count_dev.span(), cost_dev.span()),
     )
-    prepare.load(nf_dev.span())
-    prepare.load(dev.offsets.addresses(nf))
-    prepare.load(dev.offsets.addresses(nf + 1))
-    prepare.load(dev.node_data.addresses(nf))
-    prepare.store(indexes_dev.span())
-    prepare.store(count_dev.span())
-    prepare.store(cost_dev.span())
-    report.add(gpu.run(prepare))
 
     gather_indices, run_start = expansion_run(indexes_values, count_values)
     ef_values = graph.edges[gather_indices]
     wf_values = graph.weights[gather_indices] + np.repeat(source_costs, count_values)
 
-    if mode is SystemMode.GPU:
+    if dev.mode is SystemMode.GPU:
         ef_dev = ctx.array("ef", ef_values)
         wf_dev = ctx.array("wf", wf_values)
-        gather = KernelSpec(
-            "sssp.expand.gather",
-            PhaseKind.COMPACTION,
-            threads=ef_values.size,
-            instructions_per_thread=KERNEL_COSTS["expand.gather"],
-            extra_instructions=int(SCAN_OVERHEAD_PER_ELEMENT * nf.size),
-            memory_efficiency=COMPACTION_MEMORY_EFFICIENCY,
-            extra_overhead_s=compaction_sync_overhead_s(gpu.config),
+        dev.kernel(
+            "sssp.expand.gather", PhaseKind.COMPACTION, threads=ef_values.size,
+            cost=KERNEL_COSTS["expand.gather"], scan=nf.size,
+            loads=(
+                indexes_dev.span(),
+                count_dev.span(),
+                cost_dev.span(),
+                expansion_addresses(dev.edges, gather_indices, run_start),
+                expansion_addresses(dev.weights, gather_indices, run_start),
+            ),
+            stores=(ef_dev.span(), wf_dev.span()),
         )
-        gather.load(indexes_dev.span())
-        gather.load(count_dev.span())
-        gather.load(cost_dev.span())
-        gather.load(expansion_addresses(dev.edges, gather_indices, run_start))
-        gather.load(expansion_addresses(dev.weights, gather_indices, run_start))
-        gather.store(ef_dev.span())
-        gather.store(wf_dev.span())
-        dev.add_scan_traffic(gather, nf.size)
-        report.add(gpu.run(gather))
         return ef_dev, wf_dev
 
-    if mode is SystemMode.SCU_BASIC:
-        ef_dev, phase = system.scu.access_expansion_compaction(
-            dev.edges, indexes_dev, count_dev, out="ef"
+    if dev.mode is SystemMode.SCU_BASIC:
+        ef_dev = dev.scu(
+            scu.access_expansion_compaction(dev.edges, indexes_dev, count_dev, out="ef")
         )
-        report.add(phase)
-        ew_dev, phase = system.scu.access_expansion_compaction(
-            dev.weights, indexes_dev, count_dev, out="ew"
+        ew_dev = dev.scu(
+            scu.access_expansion_compaction(dev.weights, indexes_dev, count_dev, out="ew")
         )
-        report.add(phase)
-        repl_dev, phase = system.scu.replication_compaction(
-            cost_dev, count_dev, out="wf"
-        )
-        report.add(phase)
+        repl_dev = dev.scu(scu.replication_compaction(cost_dev, count_dev, out="wf"))
         wf_dev = DeviceArray(values=ew_dev.values + repl_dev.values, alloc=repl_dev.alloc)
         return ef_dev, wf_dev
 
     # SCU_ENHANCED (Algorithm 5): filtering + grouping passes first.
     scratch_ids = ctx.array("ef.ids", ef_values)
     scratch_costs = ctx.array("wf.ids", wf_values)
-    pass_streams = [
-        sequential_read(indexes_dev, role="indexes"),
-        sequential_read(count_dev, role="count"),
-        gather_read(dev.edges, gather_indices),
-        gather_read(dev.weights, gather_indices),
-    ]
-    filter_mask, phase = system.scu.filter_best_cost_pass(
-        scratch_ids, scratch_costs, input_streams=pass_streams, out="ef.filter"
-    )
-    report.add(phase)
-    perm_dev = None
-    if enable_grouping:
-        kept_ids = ctx.array("ef.kept", ef_values[filter_mask.values])
-        group_streams = [
+    filter_mask = dev.scu(scu.filter_best_cost_pass(
+        scratch_ids,
+        scratch_costs,
+        input_streams=[
             sequential_read(indexes_dev, role="indexes"),
             sequential_read(count_dev, role="count"),
-            gather_read(dev.edges, gather_indices[filter_mask.values]),
-        ]
-        perm_dev, phase = system.scu.grouping_pass(
-            kept_ids,
+            gather_read(dev.edges, gather_indices),
+            gather_read(dev.weights, gather_indices),
+        ],
+        out="ef.filter",
+    ))
+    kept = filter_mask.values
+    perm_dev = None
+    if grouping:
+        perm_dev = dev.scu(scu.grouping_pass(
+            ctx.array("ef.kept", ef_values[kept]),
             node_data_base=dev.node_data.alloc.base,
-            input_streams=group_streams,
+            input_streams=[
+                sequential_read(indexes_dev, role="indexes"),
+                sequential_read(count_dev, role="count"),
+                gather_read(dev.edges, gather_indices[kept]),
+            ],
             out="ef.grouping",
-        )
-        report.add(phase)
-    ef_dev, phase = system.scu.access_expansion_compaction(
-        dev.edges,
-        indexes_dev,
-        count_dev,
-        element_bitmask=filter_mask,
-        reorder=perm_dev,
-        out="ef",
-    )
-    report.add(phase)
-    kept_costs = wf_values[filter_mask.values]
+        ))
+    ef_dev = dev.scu(scu.access_expansion_compaction(
+        dev.edges, indexes_dev, count_dev,
+        element_bitmask=filter_mask, reorder=perm_dev, out="ef",
+    ))
+    kept_costs = wf_values[kept]
     if perm_dev is not None:
         kept_costs = kept_costs[perm_dev.values]
-    ew_dev, phase = system.scu.access_expansion_compaction(
-        dev.weights,
-        indexes_dev,
-        count_dev,
-        element_bitmask=filter_mask,
-        reorder=perm_dev,
-        out="wf",
-    )
-    report.add(phase)
+    ew_dev = dev.scu(scu.access_expansion_compaction(
+        dev.weights, indexes_dev, count_dev,
+        element_bitmask=filter_mask, reorder=perm_dev, out="wf",
+    ))
     # Algorithm 2's replication op (accumulated source cost) still runs.
-    _, phase = system.scu.replication_compaction(cost_dev, count_dev, out="wf.repl")
-    report.add(phase)
-    wf_dev = DeviceArray(values=kept_costs, alloc=ew_dev.alloc)
-    return ef_dev, wf_dev
-
-
-def _lookup_table(system: ScuSystem, dev: GraphOnDevice) -> DeviceArray:
-    """The per-node contraction lookup table, allocated once per run."""
-    cache = getattr(dev, "_sssp_lookup", None)
-    if cache is None:
-        cache = system.ctx.array(
-            "contract.lookup", np.zeros(dev.graph.num_nodes, dtype=np.int64)
-        )
-        dev._sssp_lookup = cache
-    return cache
+    dev.scu(scu.replication_compaction(cost_dev, count_dev, out="wf.repl"))
+    return ef_dev, DeviceArray(values=kept_costs, alloc=ew_dev.alloc)
 
 
 def _contract(
-    system: ScuSystem,
-    mode: SystemMode,
     dev: GraphOnDevice,
-    report: RunReport,
+    lookup: DeviceArray,
     ef_dev: DeviceArray,
     wf_dev: DeviceArray,
-    ef: np.ndarray,
-    wf: np.ndarray,
     threshold: float,
-    *,
-    filtered_upstream: bool,
-    enable_grouping: bool = True,
+    grouping: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Contraction phase: relax near edges, push far edges."""
-    ctx = system.ctx
-    gpu = system.gpu
+    ctx = dev.system.ctx
+    scu = dev.system.scu
     dist = dev.node_data.values
+    ef = np.asarray(ef_dev.values, dtype=np.int64)
+    wf = np.asarray(wf_dev.values, dtype=np.float64)
 
     improving = wf < dist[ef] if ef.size else np.zeros(0, dtype=bool)
     near = improving & (wf < threshold)
@@ -352,6 +290,7 @@ def _contract(
     winners = near & _dedup_best(np.where(near, ef, -1), wf)
     near_dests = ef[winners]
 
+    # Stores and loads interleave, so this kernel names its streams itself.
     process = KernelSpec(
         "sssp.contract.process",
         PhaseKind.PROCESSING,
@@ -363,7 +302,6 @@ def _contract(
     process.load(dev.node_data.addresses(ef))  # divergent distance lookups
     # Lookup-table dedup: candidates scatter their thread id by dest node,
     # then re-read to learn the winner (two divergent passes).
-    lookup = _lookup_table(system, dev)
     process.store(lookup.addresses(ef[near]))
     process.load(lookup.addresses(ef[near]))
     process.atomic(dev.node_data.addresses(ef[near]))  # atomicMin relaxations
@@ -371,116 +309,77 @@ def _contract(
     mask_far = ctx.bitmask("mask.far", far)
     process.store(mask_near.span())
     process.store(mask_far.span())
-    report.add(gpu.run(process))
+    dev.report.add(dev.system.gpu.run(process))
 
     # Functional relaxation (atomicMin semantics).
     if near.any():
         np.minimum.at(dist, ef[near], wf[near])
 
-    if mode is SystemMode.GPU:
-        compact = KernelSpec(
-            "sssp.contract.compact",
-            PhaseKind.COMPACTION,
-            threads=ef.size,
-            instructions_per_thread=KERNEL_COSTS["contract.compact"],
-            extra_instructions=int(2 * SCAN_OVERHEAD_PER_ELEMENT * ef.size),
-            memory_efficiency=COMPACTION_MEMORY_EFFICIENCY,
-            extra_overhead_s=compaction_sync_overhead_s(gpu.config),
+    if dev.mode is SystemMode.GPU:
+        dev.kernel(
+            "sssp.contract.compact", PhaseKind.COMPACTION, threads=ef.size,
+            cost=KERNEL_COSTS["contract.compact"], scan=ef.size, passes=2,
+            loads=(ef_dev.span(), wf_dev.span(), mask_near.span(), mask_far.span()),
+            stores=(
+                ctx.array("nf.next", near_dests).span(),
+                ctx.array("far.e", ef[far]).span(),
+                ctx.array("far.w", wf[far]).span(),
+            ),
         )
-        compact.load(ef_dev.span())
-        compact.load(wf_dev.span())
-        compact.load(mask_near.span())
-        compact.load(mask_far.span())
-        nf_dev = ctx.array("nf.next", near_dests)
-        compact.store(nf_dev.span())
-        compact.store(ctx.array("far.e", ef[far]).span())
-        compact.store(ctx.array("far.w", wf[far]).span())
-        dev.add_scan_traffic(compact, ef.size)
-        dev.add_scan_traffic(compact, ef.size)
-        report.add(gpu.run(compact))
         return near_dests, ef[far], wf[far]
 
-    if mode is SystemMode.SCU_BASIC or filtered_upstream:
-        reorder = None
-        if filtered_upstream and enable_grouping:
-            # Algorithm 5: grouping applies to the near contraction too.
-            kept = ctx.array("near.ids", near_dests)
-            perm_dev, phase = system.scu.grouping_pass(
-                kept, node_data_base=dev.node_data.alloc.base, out="near.grouping"
-            )
-            report.add(phase)
-            reorder = perm_dev
-        nf_dev, phase = system.scu.data_compaction(
-            ef_dev, mask_near, out="nf.next", reorder=reorder
-        )
-        report.add(phase)
-        far_e_dev, phase = system.scu.data_compaction(ef_dev, mask_far, out="far.e")
-        report.add(phase)
-        far_w_dev, phase = system.scu.data_compaction(wf_dev, mask_far, out="far.w")
-        report.add(phase)
-        return (
-            np.asarray(nf_dev.values, dtype=np.int64),
-            np.asarray(far_e_dev.values, dtype=np.int64),
-            np.asarray(far_w_dev.values, dtype=np.float64),
-        )
-
-    raise SimulationError(f"unhandled mode {mode}")
+    reorder = None
+    if grouping:
+        # Algorithm 5: grouping applies to the near contraction too.
+        reorder = dev.scu(scu.grouping_pass(
+            ctx.array("near.ids", near_dests),
+            node_data_base=dev.node_data.alloc.base,
+            out="near.grouping",
+        ))
+    nf_dev = dev.scu(
+        scu.data_compaction(ef_dev, mask_near, out="nf.next", reorder=reorder)
+    )
+    far_e_dev = dev.scu(scu.data_compaction(ef_dev, mask_far, out="far.e"))
+    far_w_dev = dev.scu(scu.data_compaction(wf_dev, mask_far, out="far.w"))
+    return (
+        np.asarray(nf_dev.values, dtype=np.int64),
+        np.asarray(far_e_dev.values, dtype=np.int64),
+        np.asarray(far_w_dev.values, dtype=np.float64),
+    )
 
 
 def _consume_far(
-    system: ScuSystem,
-    mode: SystemMode,
     dev: GraphOnDevice,
-    report: RunReport,
+    lookup: DeviceArray,
     far_edges: np.ndarray,
     far_costs: np.ndarray,
     threshold: float,
-    *,
-    enable_grouping: bool = True,
+    grouping: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Re-contract the far pile against the advanced threshold."""
-    ctx = system.ctx
-    enhanced = mode is SystemMode.SCU_ENHANCED
-
+    ctx = dev.system.ctx
+    scu = dev.system.scu
     far_e_dev = ctx.array("far.pile.e", far_edges)
     far_w_dev = ctx.array("far.pile.w", far_costs)
 
-    if enhanced and far_edges.size:
+    if dev.mode is SystemMode.SCU_ENHANCED and far_edges.size:
         # Algorithm 5: the far pile was never filtered; filter + group it
         # on the SCU before the GPU re-contracts.
-        filter_mask, phase = system.scu.filter_best_cost_pass(
-            far_e_dev, far_w_dev, out="far.filter"
+        filter_mask = dev.scu(
+            scu.filter_best_cost_pass(far_e_dev, far_w_dev, out="far.filter")
         )
-        report.add(phase)
-        kept = filter_mask.values
         perm_dev = None
-        if enable_grouping:
-            kept_dev = ctx.array("far.kept", far_edges[kept])
-            perm_dev, phase = system.scu.grouping_pass(
-                kept_dev, node_data_base=dev.node_data.alloc.base, out="far.grouping"
-            )
-            report.add(phase)
-        far_e_dev, phase = system.scu.data_compaction(
+        if grouping:
+            perm_dev = dev.scu(scu.grouping_pass(
+                ctx.array("far.kept", far_edges[filter_mask.values]),
+                node_data_base=dev.node_data.alloc.base,
+                out="far.grouping",
+            ))
+        far_e_dev = dev.scu(scu.data_compaction(
             far_e_dev, filter_mask, out="far.e.filtered", reorder=perm_dev
-        )
-        report.add(phase)
-        far_w_dev, phase = system.scu.data_compaction(
+        ))
+        far_w_dev = dev.scu(scu.data_compaction(
             far_w_dev, filter_mask, out="far.w.filtered", reorder=perm_dev
-        )
-        report.add(phase)
-        far_edges = np.asarray(far_e_dev.values, dtype=np.int64)
-        far_costs = np.asarray(far_w_dev.values, dtype=np.float64)
+        ))
 
-    return _contract(
-        system,
-        mode,
-        dev,
-        report,
-        far_e_dev,
-        far_w_dev,
-        far_edges,
-        far_costs,
-        threshold,
-        filtered_upstream=enhanced,
-        enable_grouping=enable_grouping,
-    )
+    return _contract(dev, lookup, far_e_dev, far_w_dev, threshold, grouping)

@@ -57,15 +57,10 @@ from ..algorithms.common import (
     warp_cull_reference,
 )
 from ..core.api import PAPER_SCALE
-from ..core.batch import (
-    data_compaction_batch,
-    filter_unique_batch,
-    group_order_batch,
-)
 from ..core.config import SCU_TX1, HashTableConfig
 from ..core.filtering import filter_unique, filter_unique_reference
 from ..core.grouping import group_order, group_order_reference
-from ..core.ops import data_compaction, expanded_indices
+from ..core.ops import expanded_indices
 from ..core.pipeline import ScuStream, streams_memory_stats
 from ..errors import BenchError
 from ..gpu.config import TX1
@@ -644,72 +639,6 @@ def _cc_reference(inputs: Dict[str, Any]) -> Dict[str, float]:
     return _cc_checks(connected_components_reference(inputs["graph"]))
 
 
-#: Rows per synthetic request batch (the paper-grid frontier pipeline
-#: fused over a request axis).  The committed >= 3x speedup claim is
-#: defined at these batch sizes — both comfortably past batch 8.
-BATCH_ROWS_QUICK = 64
-BATCH_ROWS_FULL = 128
-
-
-def _batch_inputs(quick: bool) -> Tuple[int, Dict[str, Any]]:
-    rows = BATCH_ROWS_QUICK if quick else BATCH_ROWS_FULL
-    rng = np.random.default_rng(2032)
-    # Ragged frontier sizes (including an empty row) model N queued
-    # requests at different points of their traversal: many small
-    # frontiers, where the per-call dispatch overhead the batched path
-    # amortizes dominates the scalar replay.
-    sizes = rng.integers(16, 129, size=rows)
-    sizes[rows // 2] = 0
-    ids = [rng.integers(0, 4096, size=size).astype(np.int64) for size in sizes]
-    offsets = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    return int(sizes.sum()), {
-        "ids": np.concatenate(ids) if rows else np.empty(0, dtype=np.int64),
-        "offsets": offsets,
-    }
-
-
-def _batch_checks(
-    kept: int, grouped: np.ndarray, out_offsets: np.ndarray
-) -> Dict[str, float]:
-    return {
-        "kept": float(kept),
-        "grouped_digest": float(_perm_digest(grouped)),
-        "offsets_digest": float(_perm_digest(out_offsets)),
-    }
-
-
-def _batch_run(inputs: Dict[str, Any]) -> Dict[str, float]:
-    """One fused pass: batched filter -> scan+scatter compact -> group."""
-    keep = filter_unique_batch(inputs["ids"], inputs["offsets"], _MICRO_TABLE)
-    values, out_offsets = data_compaction_batch(
-        inputs["ids"], inputs["offsets"], keep
-    )
-    blocks = values >> 3
-    perm = group_order_batch(blocks, out_offsets, _MICRO_TABLE)
-    return _batch_checks(int(values.size), values[perm], out_offsets)
-
-
-def _batch_reference(inputs: Dict[str, Any]) -> Dict[str, float]:
-    """Per-request replay: the same pipeline, one row at a time."""
-    offsets = inputs["offsets"]
-    grouped_rows = []
-    out_sizes = []
-    for r in range(offsets.size - 1):
-        row = inputs["ids"][offsets[r] : offsets[r + 1]]
-        keep = filter_unique(row, _MICRO_TABLE)
-        values = data_compaction(row, keep)
-        perm = group_order(values >> 3, _MICRO_TABLE)
-        grouped_rows.append(values[perm])
-        out_sizes.append(values.size)
-    out_offsets = np.zeros(offsets.size, dtype=np.int64)
-    np.cumsum(np.asarray(out_sizes, dtype=np.int64), out=out_offsets[1:])
-    grouped = (
-        np.concatenate(grouped_rows) if grouped_rows else np.empty(0, np.int64)
-    )
-    return _batch_checks(int(grouped.size), grouped, out_offsets)
-
-
 MICRO_KERNELS: Tuple[MicroKernel, ...] = (
     MicroKernel("dram.replay", _dram_inputs, _dram_run, _dram_reference),
     MicroKernel("filter.unique", _filter_inputs, _filter_run, _filter_reference),
@@ -718,7 +647,6 @@ MICRO_KERNELS: Tuple[MicroKernel, ...] = (
     MicroKernel("coalesce.stream", _coalesce_inputs, _coalesce_stream_run),
     MicroKernel("cache.lru", _cache_inputs, _cache_run, _cache_reference),
     MicroKernel("cc.labels", _cc_inputs, _cc_run, _cc_reference),
-    MicroKernel("batch.compaction", _batch_inputs, _batch_run, _batch_reference),
     MicroKernel("locality.profile", _profile_inputs, _profile_run, _profile_reference),
     MicroKernel(
         "hierarchy.process", _hierarchy_inputs, _hierarchy_run, _hierarchy_reference

@@ -1,15 +1,6 @@
 """The paper's contribution: the Stream Compaction Unit."""
 
 from .api import PAPER_SCALE, ScuSystem, build_system
-from .batch import (
-    batch_offsets,
-    concat_batch,
-    data_compaction_batch,
-    filter_best_cost_batch,
-    filter_unique_batch,
-    group_order_batch,
-    split_batch,
-)
 from .area import (
     area_breakdown,
     power_breakdown_w,
@@ -34,16 +25,6 @@ from .filtering import (
 )
 from .grouping import group_order, group_order_reference, grouping_quality
 from .hashtable import hash_slots, table_addresses
-from .program import (
-    OPERATION_SIGNATURES,
-    ScuProgram,
-    ScuStep,
-    bfs_contraction_program,
-    bfs_expansion_program,
-    enhanced_bfs_contraction_program,
-    pr_expansion_program,
-    sssp_expansion_program,
-)
 from .ops import (
     COMPARISONS,
     access_compaction,
@@ -88,14 +69,6 @@ __all__ = [
     "group_order",
     "group_order_reference",
     "grouping_quality",
-    "ScuProgram",
-    "ScuStep",
-    "OPERATION_SIGNATURES",
-    "bfs_expansion_program",
-    "bfs_contraction_program",
-    "sssp_expansion_program",
-    "pr_expansion_program",
-    "enhanced_bfs_contraction_program",
     "COMPARISONS",
     "bitmask_constructor",
     "exclusive_scan",
@@ -105,11 +78,4 @@ __all__ = [
     "replication_compaction",
     "access_expansion_compaction",
     "expanded_indices",
-    "batch_offsets",
-    "concat_batch",
-    "split_batch",
-    "data_compaction_batch",
-    "filter_unique_batch",
-    "filter_best_cost_batch",
-    "group_order_batch",
 ]

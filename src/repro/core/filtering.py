@@ -22,9 +22,9 @@ determined by the *previous element mapping to the same slot*.  Sorting
 (stably, with :func:`~repro.core.ops.stable_order`) by slot therefore
 turns the table walk into run-boundary comparisons.  The best-cost
 scheme then needs, per run of one id, the minimum of the earlier costs:
-an exact segmented prefix-min over the costs' integer ranks, shared with
-the batched filter, so fractional and infinite costs filter exactly as
-the reference does.
+an exact segmented prefix-min over the costs' integer ranks
+(:func:`improves_in_segment`), so fractional and infinite costs filter
+exactly as the reference does.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ Comparison operators for the Bitmask Constructor are the six integer
 comparisons the hardware comparator implements.
 
 :func:`stable_order` is the keyed-order kernel behind every hash-table
-model (filtering, grouping, their batched forms) and the GPU's culling
+model (filtering, grouping) and the GPU's culling
 heuristics: the stable sort by slot, id or composite key that turns a
 sequential table walk into run-boundary comparisons.
 

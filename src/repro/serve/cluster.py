@@ -487,6 +487,7 @@ class ClusterHandler(OneSendHandler):
 
     def do_POST(self) -> None:  # noqa: N802 — http.server API
         if self.path != "/run":
+            self._discard_body()
             self._send(
                 404,
                 encode(error_payload(404, "not-found", f"no route {self.path!r}")),

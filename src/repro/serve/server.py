@@ -831,6 +831,19 @@ class OneSendHandler(BaseHTTPRequestHandler):
             )
         return body
 
+    def _discard_body(self) -> None:
+        """Read and drop the body of a request no route takes.
+
+        Left unread on a keep-alive connection, it would be parsed as
+        the next request.  It is read like any body, under the same size
+        bound and read timeout; one that cannot be read closes the
+        connection.
+        """
+        try:
+            self._read_body()
+        except (ProtocolError, ValueError):
+            self.close_connection = True
+
     def _send(
         self,
         status: int,
@@ -934,6 +947,7 @@ class RequestHandler(OneSendHandler):
 
     def do_POST(self) -> None:  # noqa: N802 — http.server API
         if self.path != "/run":
+            self._discard_body()
             self._not_found()
             return
         ctx = self.service.begin_request(self.headers.get("traceparent"))

@@ -1,12 +1,9 @@
-"""Tests for batched execution: kernels and the serve window.
+"""Tests for batched execution: the serve window and grouped sweeps.
 
 The contract under test everywhere is *byte-identity*: a request
 batched with any set of compatible neighbours must produce exactly the
-bits the scalar path produces for it alone.  Kernel-level that is
-pinned per ragged row against the scalar references (property tests
-over ragged shapes, including empty rows and batches of 0/1);
-serve-level against a non-batching service handling the same burst
-sequentially.
+bits it produces alone — pinned against a non-batching service handling
+the same burst sequentially, and against the ungrouped sweep.
 """
 
 import json
@@ -16,191 +13,12 @@ import urllib.request
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.algorithms import clear_run_cache
-from repro.core import (
-    HashTableConfig,
-    batch_offsets,
-    compaction_addresses,
-    concat_batch,
-    data_compaction,
-    data_compaction_batch,
-    exclusive_scan,
-    filter_best_cost,
-    filter_best_cost_batch,
-    filter_best_cost_reference,
-    filter_unique,
-    filter_unique_batch,
-    group_order,
-    group_order_batch,
-    split_batch,
-)
 from repro.errors import ServiceError, ServiceTimeoutError
 from repro.request import RunRequest
 from repro.serve import ServiceConfig, SimulationService, make_server
 from repro.serve.batching import MicroBatcher, batch_compatibility_key
-
-TABLE = HashTableConfig("t", capacity_bytes=64 * 4, ways=1, bytes_per_entry=4)
-COST_TABLE = HashTableConfig("tc", capacity_bytes=64 * 8, ways=1, bytes_per_entry=8)
-
-
-def _ragged(rows):
-    return concat_batch([np.asarray(row, dtype=np.int64) for row in rows])
-
-
-# ---------------------------------------------------------------------------
-# Scan + scatter primitives
-# ---------------------------------------------------------------------------
-
-
-class TestScanScatter:
-    def test_exclusive_scan(self):
-        assert list(exclusive_scan(np.array([3, 1, 4]))) == [0, 3, 4]
-
-    def test_exclusive_scan_empty(self):
-        assert exclusive_scan(np.array([], dtype=np.int64)).size == 0
-
-    def test_compaction_addresses_are_output_slots(self):
-        mask = np.array([True, False, True, True])
-        assert list(compaction_addresses(mask)) == [0, 1, 1, 2]
-
-    def test_data_compaction_is_scan_scatter(self):
-        data = np.array([10, 20, 30, 40])
-        mask = np.array([True, False, False, True])
-        assert list(data_compaction(data, mask)) == [10, 40]
-
-    def test_concat_split_roundtrip(self):
-        rows = [[1, 2, 3], [], [7]]
-        values, offsets = _ragged(rows)
-        assert [list(r) for r in split_batch(values, offsets)] == rows
-
-    def test_batch_offsets(self):
-        assert list(batch_offsets(np.array([2, 0, 3]))) == [0, 2, 2, 5]
-
-
-# ---------------------------------------------------------------------------
-# Batched kernels == scalar references, row by row
-# ---------------------------------------------------------------------------
-
-ragged_batches = st.lists(
-    st.lists(st.integers(min_value=0, max_value=40), min_size=0, max_size=40),
-    min_size=0,
-    max_size=5,
-)
-table_entries = st.sampled_from([1, 2, 8, 64, 1024])
-
-
-class TestBatchedKernelsMatchScalar:
-    @given(ragged_batches, table_entries)
-    @settings(max_examples=60, deadline=None)
-    def test_filter_unique(self, rows, entries):
-        table = HashTableConfig("t", entries * 4, 1, 4)
-        values, offsets = _ragged(rows)
-        keep = filter_unique_batch(values, offsets, table)
-        expected = [
-            filter_unique(np.asarray(row, dtype=np.int64), table) for row in rows
-        ]
-        for r, want in enumerate(expected):
-            got = keep[offsets[r] : offsets[r + 1]]
-            assert np.array_equal(got, want), f"row {r} diverged"
-
-    @given(
-        st.lists(
-            st.lists(
-                st.tuples(
-                    st.integers(min_value=0, max_value=20),
-                    st.integers(min_value=0, max_value=15),
-                ),
-                min_size=0,
-                max_size=40,
-            ),
-            min_size=0,
-            max_size=5,
-        ),
-        table_entries,
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_filter_best_cost(self, rows, entries):
-        table = HashTableConfig("t", entries * 8, 1, 8)
-        values, offsets = _ragged([[p[0] for p in row] for row in rows])
-        costs = np.concatenate(
-            [np.array([float(p[1]) for p in row]) for row in rows]
-        ) if rows else np.empty(0)
-        keep = filter_best_cost_batch(values, costs, offsets, table)
-        for r, row in enumerate(rows):
-            ids = np.array([p[0] for p in row], dtype=np.int64)
-            row_costs = np.array([float(p[1]) for p in row])
-            want = filter_best_cost(ids, row_costs, table)
-            got = keep[offsets[r] : offsets[r + 1]]
-            assert np.array_equal(got, want), f"row {r} diverged"
-
-    def test_best_cost_adversarial_near_ties_match_dict_reference(self):
-        # Near-tie float costs are where the scalar fp-shift trick is
-        # fragile; the batched integer-rank path must agree with the
-        # dict reference bit for bit regardless of batch composition.
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            rows = [
-                rng.integers(0, 12, size=rng.integers(0, 30)).astype(np.int64)
-                for _ in range(rng.integers(1, 5))
-            ]
-            costs_rows = [rng.random(row.size) * 1e-9 + 0.1 for row in rows]
-            values, offsets = concat_batch(rows)
-            costs = (
-                np.concatenate(costs_rows) if rows else np.empty(0)
-            )
-            keep = filter_best_cost_batch(values, costs, offsets, COST_TABLE)
-            for r, (ids, row_costs) in enumerate(zip(rows, costs_rows)):
-                want = filter_best_cost_reference(ids, row_costs, COST_TABLE)
-                got = keep[offsets[r] : offsets[r + 1]]
-                assert np.array_equal(got, want)
-
-    @given(ragged_batches, table_entries)
-    @settings(max_examples=60, deadline=None)
-    def test_data_compaction(self, rows, entries):
-        table = HashTableConfig("t", entries * 4, 1, 4)
-        values, offsets = _ragged(rows)
-        keep = filter_unique_batch(values, offsets, table)
-        out, out_offsets = data_compaction_batch(values, offsets, keep)
-        for r, row in enumerate(rows):
-            ids = np.asarray(row, dtype=np.int64)
-            want = data_compaction(ids, keep[offsets[r] : offsets[r + 1]])
-            got = out[out_offsets[r] : out_offsets[r + 1]]
-            assert np.array_equal(got, want), f"row {r} diverged"
-
-    @given(ragged_batches, table_entries, st.sampled_from([1, 3, 8]))
-    @settings(max_examples=60, deadline=None)
-    def test_group_order(self, rows, entries, group_size):
-        table = HashTableConfig("t", entries * 4, 1, 4)
-        values, offsets = _ragged(rows)
-        perm = group_order_batch(values, offsets, table, group_size=group_size)
-        for r, row in enumerate(rows):
-            blocks = np.asarray(row, dtype=np.int64)
-            want = group_order(blocks, table, group_size=group_size)
-            got = perm[offsets[r] : offsets[r + 1]] - offsets[r]
-            assert np.array_equal(got, want), f"row {r} diverged"
-
-    def test_batch_of_one_is_exactly_the_scalar_kernel(self):
-        rng = np.random.default_rng(11)
-        blocks = rng.integers(0, 64, size=500).astype(np.int64)
-        values, offsets = concat_batch([blocks])
-        perm = group_order_batch(values, offsets, TABLE)
-        assert np.array_equal(perm, group_order(blocks, TABLE))
-
-    def test_row_results_do_not_depend_on_neighbours(self):
-        # The same row must produce the same bits alone or batched with
-        # arbitrary company: batching is invisible per request.
-        rng = np.random.default_rng(13)
-        row = rng.integers(0, 100, size=200).astype(np.int64)
-        alone_v, alone_o = concat_batch([row])
-        alone = filter_unique_batch(alone_v, alone_o, TABLE)
-        company = [rng.integers(0, 100, size=n).astype(np.int64) for n in (0, 7, 300)]
-        values, offsets = concat_batch(company[:1] + [row] + company[1:])
-        batched = filter_unique_batch(values, offsets, TABLE)
-        assert np.array_equal(batched[offsets[1] : offsets[2]], alone)
-
 
 # ---------------------------------------------------------------------------
 # The batching window's compatibility key

@@ -21,7 +21,7 @@ from repro.obs.promtext import check_exposition, sum_by_name
 from repro.request import RunRequest
 from repro.serve.cluster import HashRing, LocalCluster
 
-from .test_serve import keep_alive_median_s
+from .test_serve import keep_alive_median_s, unknown_post_then_health
 
 BODY = json.dumps(
     {"algorithm": "bfs", "dataset": "human", "gpu": "TX1", "mode": "scu-enhanced"}
@@ -120,6 +120,11 @@ class TestClusterFront:
             samples = check_exposition(response.read().decode())
         assert sum_by_name(samples, "serve_simulations") == 1.0
         assert sum_by_name(samples, "cluster_routed") == 2.0
+
+    def test_unknown_post_body_is_not_read_as_the_next_request(self, cluster):
+        missing, status, body = unknown_post_then_health(cluster.url)
+        assert (missing, status) == (404, 200)
+        assert json.loads(body)["status"] == "ok"
 
     def test_healthz_aggregates_workers(self, cluster):
         payload = _get_json(cluster.url, "/healthz")

@@ -9,7 +9,9 @@ from repro.core import (
     access_compaction,
     access_expansion_compaction,
     bitmask_constructor,
+    compaction_addresses,
     data_compaction,
+    exclusive_scan,
     expanded_indices,
     replication_compaction,
 )
@@ -70,6 +72,23 @@ class TestDataCompaction:
     def test_mask_dtype_checked(self):
         with pytest.raises(OperationError, match="boolean"):
             data_compaction(np.array([1, 2]), np.array([1, 0]))
+
+
+class TestScanScatter:
+    def test_exclusive_scan(self):
+        assert list(exclusive_scan(np.array([3, 1, 4]))) == [0, 3, 4]
+
+    def test_exclusive_scan_empty(self):
+        assert exclusive_scan(np.array([], dtype=np.int64)).size == 0
+
+    def test_compaction_addresses_are_output_slots(self):
+        mask = np.array([True, False, True, True])
+        assert list(compaction_addresses(mask)) == [0, 1, 1, 2]
+
+    def test_data_compaction_is_scan_scatter(self):
+        data = np.array([10, 20, 30, 40])
+        mask = np.array([True, False, False, True])
+        assert list(data_compaction(data, mask)) == [10, 40]
 
 
 class TestAccessCompaction:

@@ -290,6 +290,25 @@ def keep_alive_median_s(base, path="/healthz", count=20):
     return statistics.median(samples)
 
 
+def unknown_post_then_health(base):
+    """``POST /nope`` with a JSON body, then ``GET /healthz``, both on
+    one keep-alive connection: (404 status, health status, health body)."""
+    url = urllib.parse.urlsplit(base)
+    connection = http.client.HTTPConnection(url.hostname, url.port, timeout=10.0)
+    try:
+        connection.request(
+            "POST", "/nope", body=REQUEST_BODY,
+            headers={"Content-Type": "application/json"},
+        )
+        missing = connection.getresponse()
+        missing.read()
+        connection.request("GET", "/healthz")
+        health = connection.getresponse()
+        return missing.status, health.status, health.read()
+    finally:
+        connection.close()
+
+
 @pytest.fixture
 def served():
     """A running service on a free port, torn down afterwards."""
@@ -373,6 +392,12 @@ class TestHttpService:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(base + "/nope", timeout=10.0)
         assert excinfo.value.code == 404
+
+    def test_unknown_post_body_is_not_read_as_the_next_request(self, served):
+        _, base = served
+        missing, status, body = unknown_post_then_health(base)
+        assert (missing, status) == (404, 200)
+        assert json.loads(body)["status"] == "ok"
 
     def test_invalid_request_is_400(self, served):
         _, base = served
