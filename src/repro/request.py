@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
@@ -178,6 +179,12 @@ class RunRequest:
                 raise ProtocolError(
                     f"kwargs[{key!r}] must be a JSON scalar, "
                     f"got {type(value).__name__}"
+                )
+            # ``json.loads`` accepts NaN and Infinity, which strict JSON
+            # (and so the canonical encoding behind cache_digest) has not.
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ProtocolError(
+                    f"kwargs[{key!r}] must be a finite number, got {value!r}"
                 )
         # membership checks against the live registries (imported lazily:
         # the runner imports this module, so the reverse import must not

@@ -7,9 +7,11 @@ three protections, outermost first:
 
 1. **run cache** — completed reports land in the tiered run cache (the
    process-wide LRU, and the L2 store with ``--store-dir``), so repeats
-   never reach the queue at all;
+   never reach the queue at all, and the service keeps each recent run's
+   encoded response, so repeats are not encoded again either;
 2. **single-flight** — concurrent identical requests coalesce onto one
-   leader; followers share its report (`serve.singleflight.coalesced_hits`);
+   leader; followers share its response bytes
+   (`serve.singleflight.coalesced_hits`);
 3. **admission control** — at most ``queue_depth`` requests wait for the
    ``workers``-wide pool; overflow is a deterministic 429 + Retry-After.
 
@@ -115,6 +117,8 @@ from .telemetry import (
 
 REQUESTS_METRIC = "serve.requests"
 SIMULATIONS_METRIC = "serve.simulations"
+#: Counter prefix of the response-bytes memo (``.hits``/``.misses``/``.evictions``).
+RESPONSE_CACHE_METRIC = "serve.response_cache"
 
 
 @dataclass(frozen=True)
@@ -226,6 +230,18 @@ class SimulationService:
         self.registry.counter(REQUESTS_METRIC)
         self.registry.counter(SIMULATIONS_METRIC)
         self.registry.counter(REJECTED_METRIC)
+        for event in ("hits", "misses", "evictions"):
+            self.registry.counter(f"{RESPONSE_CACHE_METRIC}.{event}")
+        # Canonical response bytes of recent runs, keyed by digest.  A
+        # response is a pure function of its request, and the digest
+        # hashes the request's whole wire form, so a body stored under a
+        # digest is the body every later request with that digest gets.
+        # Bounded like the L1 run cache it mirrors.
+        self._responses = LruCache(
+            runner.RUN_CACHE_SIZE,
+            metrics_prefix=RESPONSE_CACHE_METRIC,
+            registry=self.registry,
+        )
         # L2 result store: installed process-wide so the runner's
         # tiered get/put reads through it; counters live in this
         # service's registry (pre-registered like everything else).
@@ -463,8 +479,14 @@ class SimulationService:
     # -- request path ---------------------------------------------------
     def handle_run(
         self, request: RunRequest, ctx: Optional[RequestContext] = None
-    ) -> Dict[str, Any]:
-        """Execute (or coalesce, or reject) one validated run request."""
+    ) -> bytes:
+        """Execute (or coalesce, or reject) one validated run request.
+
+        Returns the canonical response body.  The tiered cache is probed
+        first, as for a request whose body was never encoded, so journal
+        outcomes, store spans and the L1/L2 attribution do not depend on
+        the response memo; only the encoding is skipped on a memo hit.
+        """
         digest = request.cache_digest()
         if ctx is not None:
             # One canonical string identity everywhere: this same digest
@@ -484,11 +506,13 @@ class SimulationService:
         if report is not None:
             if ctx is not None:
                 ctx.outcome = OUTCOME_CACHED
-            return run_response(request, report)
+            return self._response_bytes(digest, request, report)
         wait_started = time.perf_counter()
-        report = self._singleflight.do(
+        # The leader encodes inside its single-flight call, so the
+        # followers share its bytes, not just its report.
+        body = self._singleflight.do(
             digest,
-            lambda: self._lead(request, ctx),
+            lambda: self._response_bytes(digest, request, self._lead(request, ctx)),
             timeout_s=self.config.request_timeout_s,
         )
         if ctx is not None and ctx.outcome is None:
@@ -501,7 +525,21 @@ class SimulationService:
                 wait_started,
                 link=self._leader_spans.get(digest),
             )
-        return run_response(request, report)
+        return body
+
+    def _response_bytes(
+        self, digest: str, request: RunRequest, report: RunReport
+    ) -> bytes:
+        """The run's encoded response, from the memo or encoded once now.
+
+        Two requests that miss the memo at the same moment both encode;
+        their bodies are identical, so either may be the one kept.
+        """
+        body = self._responses.get(digest)
+        if body is None:
+            body = encode(run_response(request, report))
+            self._responses.put(digest, body)
+        return body
 
     def _lead(self, request: RunRequest, ctx: Optional[RequestContext]) -> RunReport:
         """Single-flight leader body: seal a batch and run it.
@@ -809,12 +847,20 @@ class OneSendHandler(BaseHTTPRequestHandler):
     def _read_body(self) -> bytes:
         """The request body, as ``Content-Length`` announced it.
 
-        A body that does not arrive in full (the client reset, hung up,
-        or stalled past :data:`READ_TIMEOUT_S`) is a bad request, and the
-        connection is closed after it.
+        A missing ``Content-Length`` means an empty body.  One that is
+        not a decimal count, or is over :data:`MAX_BODY_BYTES`, and a
+        body that does not arrive in full (the client reset, hung up, or
+        stalled past :data:`READ_TIMEOUT_S`) are bad requests, and the
+        connection is closed after them: its unread bytes cannot be
+        told from the next request.
         """
-        length = int(self.headers.get("Content-Length", "0"))
+        announced = self.headers.get("Content-Length", "0").strip(" \t")
+        if not (announced.isascii() and announced.isdigit()):
+            self.close_connection = True
+            raise ProtocolError(f"malformed Content-Length {announced!r}")
+        length = int(announced)
         if length > MAX_BODY_BYTES:
+            self.close_connection = True
             raise ProtocolError(
                 f"request body too large ({length} bytes > {MAX_BODY_BYTES})"
             )
@@ -841,8 +887,8 @@ class OneSendHandler(BaseHTTPRequestHandler):
         """
         try:
             self._read_body()
-        except (ProtocolError, ValueError):
-            self.close_connection = True
+        except ProtocolError:
+            pass  # _read_body has marked the connection to close
 
     def _send(
         self,
@@ -960,12 +1006,12 @@ class RequestHandler(OneSendHandler):
         status, body, extra = 500, b"", ()
         try:
             request = parse_run_request(self._read_body())
-            response = self.service.handle_run(request, ctx)
+            body = self.service.handle_run(request, ctx)
         except (ReproError, ValueError) as exc:
             error = exc
             status, body, extra = self._error_response(exc)
         else:
-            status, body, extra = 200, encode(response), ()
+            status = 200
         finally:
             # Every begun request is finished, however it ended.  Journal
             # before the response bytes leave: a client that has seen

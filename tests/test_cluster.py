@@ -10,6 +10,7 @@ and the retry succeeds on the rebalanced ring, and the merged front
 """
 
 import json
+import math
 import urllib.error
 import urllib.request
 
@@ -20,8 +21,14 @@ from repro.errors import ServiceError
 from repro.obs.promtext import check_exposition, sum_by_name
 from repro.request import RunRequest
 from repro.serve.cluster import HashRing, LocalCluster
+from repro.serve.server import READ_TIMEOUT_S
 
-from .test_serve import keep_alive_median_s, unknown_post_then_health
+from .test_serve import (
+    MALFORMED_LENGTHS,
+    keep_alive_median_s,
+    post_with_content_length,
+    unknown_post_then_health,
+)
 
 BODY = json.dumps(
     {"algorithm": "bfs", "dataset": "human", "gpu": "TX1", "mode": "scu-enhanced"}
@@ -165,6 +172,25 @@ class TestClusterFront:
         assert (
             cluster.front.registry.counter("cluster.routed").total() == 0.0
         )
+
+    @pytest.mark.parametrize("length", MALFORMED_LENGTHS)
+    def test_malformed_content_length_is_400_at_the_edge(self, cluster, length):
+        seconds, status, payload = post_with_content_length(cluster.url, length)
+        assert (status, payload["error"]) == (400, "bad-request")
+        assert seconds < READ_TIMEOUT_S / 4  # not answered by the read timeout
+        assert cluster.front.registry.counter("cluster.routed").total() == 0.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_kwargs_get_the_workers_400_at_the_edge(self, cluster, value):
+        body = json.dumps({**REQUEST.to_dict(), "kwargs": {"source": value}}).encode()
+        answers = []
+        for base in (cluster.url, cluster.worker_urls[0]):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(base, body=body)
+            answers.append((excinfo.value.code, excinfo.value.read()))
+        assert answers[0] == answers[1]
+        assert answers[0][0] == 400
+        assert cluster.front.registry.counter("cluster.routed").total() == 0.0
 
     def test_worker_loss_is_deterministic_503_then_retry_succeeds(
         self, cluster

@@ -7,6 +7,10 @@ number bit-identical, because instrumentation only *reads*.
 
 import json
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -377,6 +381,70 @@ class TestLruCache:
         # every surviving entry is readable
         for key in range(24):
             cache.get(key)
+
+    def test_concurrent_counts_are_exact(self):
+        """A counter increment is a read-modify-write, so the cache
+        counts under a lock of its own: hits, misses and evictions from
+        many threads at once all land.  The registry here yields between
+        each counter's read and its write, the window in which an
+        unserialized count loses updates."""
+        registry = _RacyRegistry("hot.hits", "hot.misses", "churn.evictions")
+        hot = LruCache(1, metrics_prefix="hot", registry=registry)
+        hot.put("key", 1)
+        churn = LruCache(1, metrics_prefix="churn", registry=registry)
+        workers = max(8, (os.cpu_count() or 1) + 1)
+        rounds = 500
+
+        def work(tid):
+            for i in range(rounds):
+                hot.get("key")
+                hot.get("absent")
+                churn.put((tid, i), i)
+
+        threads = [
+            threading.Thread(target=work, args=(tid,)) for tid in range(workers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        total = workers * rounds
+        assert registry.totals() == {
+            "hot.hits": total,
+            "hot.misses": total,
+            "churn.evictions": total - 1,
+        }
+
+
+class _RacyCounter:
+    """Counter double whose increment yields between its read and write."""
+
+    def __init__(self):
+        self.value = 0
+
+    def inc(self, amount=1):
+        value = self.value
+        time.sleep(0)  # hand the interpreter to another thread mid-update
+        self.value = value + amount
+
+
+class _RacyRegistry:
+    """Registry double holding one :class:`_RacyCounter` per given name."""
+
+    def __init__(self, *names):
+        self._counters = {name: _RacyCounter() for name in names}
+
+    def counter(self, name):
+        return self._counters[name]
+
+    def totals(self):
+        return {name: counter.value for name, counter in self._counters.items()}
 
 
 class TestMergeFlatSnapshots:

@@ -142,6 +142,19 @@ class TestWireFormat:
                 },
                 "must be a JSON scalar",
             ),
+            *(
+                (
+                    {
+                        "algorithm": "bfs",
+                        "dataset": "human",
+                        "gpu": "TX1",
+                        "mode": "gpu",
+                        "kwargs": {"source": value},
+                    },
+                    "must be a finite number",
+                )
+                for value in (float("nan"), float("inf"), float("-inf"))
+            ),
         ],
     )
     def test_from_dict_rejects_bad_payloads(self, payload, match):

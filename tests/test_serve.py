@@ -42,7 +42,12 @@ from repro.serve import (
     make_server,
     run_response,
 )
-from repro.serve.server import RequestHandler, ServiceServer
+from repro.serve.server import (
+    READ_TIMEOUT_S,
+    RESPONSE_CACHE_METRIC,
+    RequestHandler,
+    ServiceServer,
+)
 
 REQUEST_BODY = json.dumps(
     {"algorithm": "bfs", "dataset": "human", "gpu": "TX1", "mode": "scu-enhanced"}
@@ -264,12 +269,70 @@ def _post(base, body, timeout=60.0):
         return response.status, response.read()
 
 
+def _post_concurrently(base, bodies, timeout_s=120.0):
+    """POST every body at once, one thread each; their (status, body)."""
+    results = [None] * len(bodies)
+
+    def send(index):
+        results[index] = _post(base, bodies[index])
+
+    threads = [
+        threading.Thread(target=send, args=(index,)) for index in range(len(bodies))
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout_s)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
 def _start(service):
     httpd = make_server(service, port=0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     host, port = httpd.server_address[:2]
     return httpd, f"http://{host}:{port}"
+
+
+def _stop(service, httpd):
+    httpd.shutdown()
+    httpd.server_close()
+    service.drain(timeout_s=10.0)
+    service.close()
+
+
+def _run_body(mode="scu-enhanced", **kwargs):
+    payload = {"algorithm": "bfs", "dataset": "human", "gpu": "TX1", "mode": mode}
+    return json.dumps({**payload, **kwargs}).encode()
+
+
+def post_with_content_length(base, value, timeout=5.0):
+    """``POST /run`` announcing ``Content-Length: value``, with no body.
+
+    Reads until the server closes the connection, so a server that
+    keeps it open fails by the client's timeout.  Returns the seconds
+    until the close, the status code and the JSON body.
+    """
+    url = urllib.parse.urlsplit(base)
+    started = time.perf_counter()
+    with socket.create_connection((url.hostname, url.port), timeout=timeout) as client:
+        client.sendall(
+            b"POST /run HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+            + f"Content-Length: {value}\r\n\r\n".encode()
+        )
+        received = b""
+        while chunk := client.recv(65536):
+            received += chunk
+    seconds = time.perf_counter() - started
+    head, _, body = received.partition(b"\r\n\r\n")
+    return seconds, int(head.split()[1]), json.loads(body)
+
+
+#: ``Content-Length`` values that are not a decimal count, though
+#: ``int()`` takes all but ``abc``.  ``-1`` once meant "read to the end
+#: of the stream".
+MALFORMED_LENGTHS = ("-5", "abc", "-1", "+5", "1_0")
 
 
 def keep_alive_median_s(base, path="/healthz", count=20):
@@ -414,6 +477,26 @@ class TestHttpService:
             _post(base, b"{not json")
         assert excinfo.value.code == 400
 
+    @pytest.mark.parametrize("length", MALFORMED_LENGTHS)
+    def test_malformed_content_length_is_400_and_closes(self, served, length):
+        service, base = served
+        seconds, status, payload = post_with_content_length(base, length)
+        assert (status, payload["error"]) == (400, "bad-request")
+        assert payload["message"] == f"malformed Content-Length {length!r}"
+        assert seconds < READ_TIMEOUT_S / 4  # not answered by the read timeout
+        assert [r["outcome"] for r in service.journal.tail(None)] == ["bad-request"]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_kwargs_are_400(self, served, value):
+        service, base = served
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(base, _run_body(kwargs={"source": value}))
+        assert excinfo.value.code == 400
+        payload = json.loads(excinfo.value.read())
+        assert payload["error"] == "bad-request"
+        assert payload["message"].startswith("kwargs['source'] must be a finite number")
+        assert [r["outcome"] for r in service.journal.tail(None)] == ["bad-request"]
+
 
 class TestCoalescing:
     def test_eight_concurrent_identical_requests_simulate_once(self):
@@ -449,6 +532,106 @@ class TestCoalescing:
             httpd.shutdown()
             httpd.server_close()
             service.drain(timeout_s=10.0)
+            clear_run_cache()
+
+
+class TestResponseMemo:
+    """Each run's response is encoded once and served as bytes after."""
+
+    @staticmethod
+    def _memo(service):
+        return {
+            event: service.registry.counter(f"{RESPONSE_CACHE_METRIC}.{event}").total()
+            for event in ("hits", "misses", "evictions")
+        }
+
+    def test_repeat_request_is_not_encoded_again(self, served, monkeypatch):
+        service, base = served
+        _, first = _post(base, REQUEST_BODY)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a memoized response was encoded again")
+
+        monkeypatch.setattr("repro.serve.server.run_response", refuse)
+        monkeypatch.setattr("repro.serve.server.encode", refuse)
+        assert _post(base, REQUEST_BODY) == (200, first)
+        assert self._memo(service) == {"hits": 1, "misses": 1, "evictions": 0}
+
+    def test_burst_of_identical_cold_requests_encodes_once(self, monkeypatch):
+        encoded = []
+        original = run_response
+
+        def counted(request, report):
+            encoded.append(request)
+            return original(request, report)
+
+        monkeypatch.setattr("repro.serve.server.run_response", counted)
+        clear_run_cache()
+        service = CoalescingGatedService(ServiceConfig(port=0))
+        httpd, base = _start(service)
+        try:
+            results = _post_concurrently(base, [REQUEST_BODY] * 8)
+            assert {status for status, _ in results} == {200}
+            assert len({body for _, body in results}) == 1
+            assert service.registry.counter(SIMULATIONS_METRIC).total() == 1
+            assert service.registry.counter(COALESCED_METRIC).total() == 7
+            assert len(encoded) == 1
+        finally:
+            _stop(service, httpd)
+            clear_run_cache()
+
+    def test_evicted_bodies_are_encoded_again_identically(self, monkeypatch, tmp_path):
+        # The memo is bounded by RUN_CACHE_SIZE; two keeps this test to
+        # three simulations.  The L1 run cache keeps its own size.
+        monkeypatch.setattr(runner, "RUN_CACHE_SIZE", 2)
+        clear_run_cache()
+        service = SimulationService(ServiceConfig(port=0, store_dir=str(tmp_path)))
+        httpd, base = _start(service)
+        try:
+            bodies = [_run_body(mode) for mode in ("gpu", "scu-basic", "scu-enhanced")]
+            first = [_post(base, body)[1] for body in bodies]
+            assert self._memo(service) == {"hits": 0, "misses": 3, "evictions": 1}
+            # The first body was evicted; its report is still in L1.
+            assert _post(base, bodies[0]) == (200, first[0])
+            # That evicted the second body; with L1 emptied it comes from L2.
+            clear_run_cache()
+            assert _post(base, bodies[1]) == (200, first[1])
+            assert self._memo(service) == {"hits": 0, "misses": 5, "evictions": 3}
+            assert service.registry.counter(SIMULATIONS_METRIC).total() == 3
+            assert [r["outcome"] for r in service.journal.tail(None)] == [
+                "simulated", "simulated", "simulated", "cached", "cached",
+            ]
+        finally:
+            _stop(service, httpd)
+            clear_run_cache()
+
+    def test_memo_hits_keep_outcomes_store_spans_and_simulations(self, tmp_path):
+        clear_run_cache()
+        service = SimulationService(ServiceConfig(port=0, store_dir=str(tmp_path)))
+        httpd, base = _start(service)
+        try:
+            _, cold = _post(base, REQUEST_BODY)
+            assert _post(base, REQUEST_BODY) == (200, cold)  # L1 hit
+            clear_run_cache()  # the memo still holds the body
+            status, warm, headers = _post_traced(base, REQUEST_BODY, None)
+            assert (status, warm) == (200, cold)  # L2 hit
+            assert [r["outcome"] for r in service.journal.tail(None)] == [
+                "simulated", "cached", "cached",
+            ]
+            spans = _get_trace(base, headers["X-Trace-Id"])["spans"]
+            assert [
+                span["attributes"]["tier"]
+                for span in spans
+                if span["name"] == "serve.store.get"
+            ] == ["l2"]
+            assert service.registry.counter(SIMULATIONS_METRIC).total() == 1
+            with urllib.request.urlopen(base + "/metrics", timeout=10.0) as response:
+                lines = response.read().decode().splitlines()
+            assert "serve_response_cache_hits 2.0" in lines
+            assert "serve_response_cache_misses 1.0" in lines
+            assert "serve_store_hits 1.0" in lines
+        finally:
+            _stop(service, httpd)
             clear_run_cache()
 
 
@@ -1230,31 +1413,21 @@ def pinned_responses():
 
 
 def _burst(config):
-    """Post the pinned requests at once; (bodies, serve.simulations)."""
+    """Post the pinned requests at once, a cold and then a warm pass on
+    one service; each pass's (bodies, serve.simulations so far)."""
     service = SimulationService(config)
     httpd, base = _start(service)
-    bodies = [None] * len(PINNED_REQUESTS)
-
-    def send(index):
-        body = json.dumps(PINNED_REQUESTS[index].to_dict()).encode()
-        bodies[index] = _post(base, body)[1]
-
-    threads = [
-        threading.Thread(target=send, args=(index,))
-        for index in range(len(PINNED_REQUESTS))
-    ]
+    bodies = [json.dumps(request.to_dict()).encode() for request in PINNED_REQUESTS]
     try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(120.0)
-        assert not any(thread.is_alive() for thread in threads)
-        return bodies, service.registry.counter(SIMULATIONS_METRIC).total()
+        return [
+            (
+                [body for _, body in _post_concurrently(base, bodies)],
+                service.registry.counter(SIMULATIONS_METRIC).total(),
+            )
+            for _ in ("cold", "warm")
+        ]
     finally:
-        httpd.shutdown()
-        httpd.server_close()
-        service.drain(timeout_s=10.0)
-        service.close()
+        _stop(service, httpd)
 
 
 class TestResponseBytesAcrossConfigurations:
@@ -1278,14 +1451,13 @@ class TestResponseBytesAcrossConfigurations:
             if settings.get("store_dir") == "cold":
                 # Warm the store, then serve from it with an empty L1.
                 settings = {"store_dir": str(tmp_path)}
-                bodies, simulations = _burst(ServiceConfig(port=0, **settings))
-                assert bodies == pinned_responses
-                assert simulations == distinct
+                cold, warm = _burst(ServiceConfig(port=0, **settings))
+                assert cold == warm == (pinned_responses, distinct)
                 clear_run_cache()
                 distinct = 0
-            bodies, simulations = _burst(ServiceConfig(port=0, **settings))
-            assert bodies == pinned_responses
-            assert simulations == distinct
+            # The warm pass is served from the response memo.
+            cold, warm = _burst(ServiceConfig(port=0, **settings))
+            assert cold == warm == (pinned_responses, distinct)
         finally:
             clear_run_cache()
 
