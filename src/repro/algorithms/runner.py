@@ -7,12 +7,12 @@ through it, executes the requested primitive, and returns a
 :class:`~repro.phases.RunReport` every experiment consumes, and the
 simulated system.  ``execute_request`` is the same entry point driven by
 a typed :class:`~repro.request.RunRequest`, and the only one the serve
-daemon simulates through, one request at a time (a micro-batch too).
-The tiered run cache (``get_cached_report`` / ``put_cached_report``: an
-LRU in memory over an optional on-disk L2 store) memoizes whole runs
-under the request's canonical :meth:`cache_key`, and ``cached_run``
-wraps the two so one benchmark session (or a long-lived service) can
-assemble all six figures without re-simulating.
+daemon simulates through, one request at a time.  The tiered run cache
+(``get_cached_report`` / ``put_cached_report``: an LRU in memory over an
+optional on-disk L2 store) memoizes whole runs under the request's
+canonical :meth:`~repro.request.RunRequest.cache_digest`, and
+``cached_run`` wraps the two so one benchmark session (or a long-lived
+service) can assemble all six figures without re-simulating.
 """
 
 from __future__ import annotations
@@ -144,21 +144,22 @@ def get_cached_report(request: RunRequest, *, with_tier: bool = False):
     return value is ``(report, tier)`` where tier is ``"l1"``, ``"l2"``
     or ``None`` — the serve telemetry layer uses it to attribute hits.
     """
-    report = _RUN_CACHE.get(request.cache_key())
+    digest = request.cache_digest()
+    report = _RUN_CACHE.get(digest)
     tier: Optional[str] = "l1" if report is not None else None
     if report is None and _RESULT_STORE is not None:
         report = _RESULT_STORE.get(request)
         if report is not None:
             tier = "l2"
-            _RUN_CACHE.put(request.cache_key(), report)
+            _RUN_CACHE.put(digest, report)
     if with_tier:
         return report, tier
     return report
 
 
 def put_cached_report(request: RunRequest, report: RunReport) -> None:
-    """Memoize a report in every tier under the request's canonical key."""
-    _RUN_CACHE.put(request.cache_key(), report)
+    """Memoize a report in every tier under the request's canonical digest."""
+    _RUN_CACHE.put(request.cache_digest(), report)
     if _RESULT_STORE is not None:
         _RESULT_STORE.put(request, report)
 
@@ -174,7 +175,7 @@ def cached_run(
     """Memoized run on a registry dataset; returns only the report.
 
     The cache is LRU-bounded to :data:`RUN_CACHE_SIZE` entries and keyed
-    by :meth:`RunRequest.cache_key`; hits and misses (and evictions) are
+    by :meth:`RunRequest.cache_digest`; hits and misses (and evictions) are
     recorded in the process-wide metrics registry under
     ``runner.cache.*``.
     """

@@ -80,7 +80,6 @@ WORKLOAD_FIELDS: Tuple[str, ...] = (
     "modes",
     "keys",
     "zipf_s",
-    "burst_datasets",
     "seed",
 )
 
@@ -116,21 +115,12 @@ class LoadtestConfig:
     modes: Tuple[str, ...] = field(default_factory=lambda: tuple(available_modes()))
     keys: int = 12  # population truncated to the first N cells
     zipf_s: float = 1.1  # popularity skew exponent (0 = uniform)
-    #: >1 emits the schedule in same-dataset bursts of this length: a
-    #: zipf-drawn leader key is followed by burst-1 keys sharing its
-    #: dataset, so micro-batching (``batch_window_ms``) actually sees
-    #: compatible neighbours in flight instead of a shuffled mix.
-    burst_datasets: int = 0
     seed: int = 42
     # in-process server sizing (ignored when targeting an external URL)
     workers: int = 2
     queue_depth: int = 8
     request_timeout_s: Optional[float] = None
     http_timeout_s: float = 120.0
-    #: micro-batching admission window of the in-process server
-    #: (``serve --batch-window-ms``); 0 disables batching.
-    batch_window_ms: float = 0.0
-    batch_max: int = 8
     #: >0 starts an in-process LocalCluster (that many worker daemons
     #: behind the consistent-hash front) instead of a single server.
     cluster_workers: int = 0
@@ -154,10 +144,6 @@ class LoadtestConfig:
             raise BenchError(f"need at least 1 key, got {self.keys}")
         if self.zipf_s < 0:
             raise BenchError(f"zipf exponent must be >= 0, got {self.zipf_s}")
-        if self.burst_datasets < 0:
-            raise BenchError(
-                f"burst length must be >= 0, got {self.burst_datasets}"
-            )
 
     def workload_dict(self) -> Dict[str, Any]:
         """The fields two comparable artifacts must agree on."""
@@ -176,8 +162,6 @@ class LoadtestConfig:
             http_timeout_s=self.http_timeout_s,
             cluster_workers=self.cluster_workers,
             store_dir=self.store_dir,
-            batch_window_ms=self.batch_window_ms,
-            batch_max=self.batch_max,
         )
         return payload
 
@@ -219,41 +203,11 @@ def zipf_weights(n: int, s: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def build_schedule(
-    config: LoadtestConfig,
-    population_size: int,
-    datasets: Optional[Sequence[str]] = None,
-) -> np.ndarray:
-    """Per-request key indices; a pure function of the config seed.
-
-    With ``burst_datasets > 1`` (and ``datasets`` naming each key's
-    dataset) the schedule is emitted in bursts: one zipf-drawn leader
-    key followed by ``burst_datasets - 1`` keys restricted to the
-    leader's dataset (zipf weights renormalized within it).  Adjacent
-    requests then share a batching compatibility key, which is exactly
-    the arrival shape the serve micro-batching window fuses.
-    """
+def build_schedule(config: LoadtestConfig, population_size: int) -> np.ndarray:
+    """Per-request key indices; a pure function of the config seed."""
     rng = np.random.default_rng(config.seed)
     weights = zipf_weights(population_size, config.zipf_s)
-    if config.burst_datasets <= 1 or datasets is None:
-        return rng.choice(population_size, size=config.requests, p=weights)
-    by_dataset: Dict[str, List[int]] = {}
-    for index, name in enumerate(datasets):
-        by_dataset.setdefault(name, []).append(index)
-    schedule = np.empty(config.requests, dtype=np.int64)
-    position = 0
-    while position < config.requests:
-        leader = int(rng.choice(population_size, p=weights))
-        peers = np.asarray(by_dataset[datasets[leader]], dtype=np.int64)
-        peer_weights = weights[peers] / weights[peers].sum()
-        length = min(config.burst_datasets, config.requests - position)
-        schedule[position] = leader
-        if length > 1:
-            schedule[position + 1 : position + length] = rng.choice(
-                peers, size=length - 1, p=peer_weights
-            )
-        position += length
-    return schedule
+    return rng.choice(population_size, size=config.requests, p=weights)
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +457,6 @@ _SERVER_COUNTERS: Tuple[Tuple[str, str], ...] = (
     ("rejected", "serve_rejected"),
     ("store_hits", "serve_store_hits"),
     ("store_misses", "serve_store_misses"),
-    ("batched", "serve_batch_fused_requests"),
-    ("batches", "serve_batch_batches"),
 )
 
 #: Stage-latency histograms whose bucket deltas yield server quantiles.
@@ -532,11 +484,6 @@ def summarize_server(before_text: str, after_text: str) -> Dict[str, Any]:
             "simulated": simulated / handled,
             "coalesced": coalesced / handled,
             "cached": cached / handled,
-            # Requests fused into micro-batches of >= 2.  An overlapping
-            # subset of ``simulated`` (each fused member still runs its
-            # own simulation inside the one stacked pass), so the three
-            # ratios above keep summing to 1 without it.
-            "batched": counters["batched"] / handled,
         }
         # Per-tier attribution of the cached hits: an L2 (disk store)
         # hit counts in serve_store_hits; the remainder of the cached
@@ -685,9 +632,7 @@ def run_loadtest(
     — client span included — as a Chrome trace file.
     """
     population = build_population(config)
-    schedule = build_schedule(
-        config, len(population), [request.dataset for request in population]
-    )
+    schedule = build_schedule(config, len(population))
     payloads = [population[k].to_dict() for k in range(len(population))]
     bodies = [
         json.dumps(payloads[int(k)], sort_keys=True).encode("utf-8")
@@ -716,8 +661,6 @@ def run_loadtest(
                 workers=config.workers,
                 queue_depth=config.queue_depth,
                 request_timeout_s=config.request_timeout_s,
-                batch_window_ms=config.batch_window_ms,
-                batch_max=config.batch_max,
             ),
         )
         url = cluster.url
@@ -733,8 +676,6 @@ def run_loadtest(
                 queue_depth=config.queue_depth,
                 request_timeout_s=config.request_timeout_s,
                 store_dir=config.store_dir,
-                batch_window_ms=config.batch_window_ms,
-                batch_max=config.batch_max,
             )
         )
         server = make_server(service, port=0)

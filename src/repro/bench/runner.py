@@ -107,17 +107,12 @@ def run_bench(
     jobs: int = 1,
     cell_timeout_s: Optional[float] = None,
     retries: int = 1,
-    batch_datasets: bool = False,
 ) -> BenchArtifact:
     """Sweep the grid (``jobs``-wide) and assemble one artifact.
 
     Records always land in grid order regardless of worker completion
     order; the only fields that vary between ``jobs`` settings are
-    wall-clock timings (noise by contract).  ``batch_datasets`` groups
-    cells sharing a dataset into one sweep task so each worker generates
-    a graph once per dataset instead of once per cell — simulated
-    metrics and the scoreboard stay byte-identical (pinned by a test);
-    the per-cell timeout then applies to whole groups.
+    wall-clock timings (noise by contract).
     """
 
     def say(message: str) -> None:
@@ -163,7 +158,6 @@ def run_bench(
         timeout_s=cell_timeout_s,
         retries=retries,
         progress=on_cell,
-        batch_datasets=batch_datasets,
     )
     snapshots: List[list] = []
     for (algorithm, dataset, gpu, mode), outcome in zip(requested, outcomes):

@@ -371,7 +371,6 @@ def _cmd_bench(args) -> int:
         jobs=args.jobs,
         cell_timeout_s=args.cell_timeout,
         retries=args.retries,
-        batch_datasets=args.batch_datasets,
     )
     if artifact.scoreboard is not None:
         print()
@@ -409,8 +408,6 @@ def _cmd_serve(args) -> int:
         trace_capacity=args.trace_capacity,
         store_dir=args.store_dir,
         store_max_bytes=args.store_max_mb * 1024 * 1024,
-        batch_window_ms=args.batch_window_ms,
-        batch_max=args.batch_max,
     )
     return run_service(config)
 
@@ -457,15 +454,12 @@ def _cmd_loadtest(args) -> int:
         rate=args.rate,
         keys=args.keys,
         zipf_s=args.zipf,
-        burst_datasets=args.burst_datasets,
         seed=args.seed,
         workers=args.workers,
         queue_depth=args.queue_depth,
         request_timeout_s=args.request_timeout,
         cluster_workers=args.cluster,
         store_dir=args.store_dir,
-        batch_window_ms=args.batch_window_ms,
-        batch_max=args.batch_max,
     )
     tag = args.tag or short_git_sha()
     progress = None if args.no_progress else (lambda line: print(line))
@@ -607,18 +601,6 @@ SHARED_OPTIONS = {
         type=int, default=256, metavar="MB",
         help="L2 store size bound; least-recently-used entries are "
         "evicted beyond it (default 256)",
-    ),
-    "--batch-window-ms": dict(
-        type=float, default=0.0, metavar="MS",
-        help="micro-batching admission window: a cache-miss leader waits "
-        "up to MS for compatible (same dataset x GPU) requests, and the "
-        "batch runs as one queue task (default 0: disabled; incompatible "
-        "with --isolate)",
-    ),
-    "--batch-max": dict(
-        type=int, default=8, metavar="N",
-        help="micro-batch size cap; a window seals early once N requests "
-        "have joined (default 8)",
     ),
     "--tag": dict(default=None, help="artifact tag (default: short git SHA)"),
     "--out": dict(
@@ -788,12 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the in-process fallback (default 1)",
     )
     bench_parser.add_argument(
-        "--batch-datasets", action="store_true",
-        help="group grid cells sharing a dataset into one sweep task so "
-        "each worker generates the graph once per dataset; simulated "
-        "metrics and the scoreboard stay byte-identical",
-    )
-    bench_parser.add_argument(
         "--no-scoreboard", action="store_true",
         help="skip the paper-fidelity scoreboard sweep",
     )
@@ -812,8 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--retry-after",
         "--store-dir",
         "--store-max-mb",
-        "--batch-window-ms",
-        "--batch-max",
         port=8765,
     )
     serve_parser.add_argument(
@@ -916,13 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="zipf popularity exponent; 0 = uniform (default 1.1)",
     )
     loadtest_parser.add_argument(
-        "--burst-datasets", type=int, default=0, metavar="LEN",
-        help="emit the schedule in same-dataset bursts of LEN requests "
-        "(a zipf-drawn leader followed by LEN-1 keys from its dataset) "
-        "so the serve micro-batching window sees compatible neighbours "
-        "(default 0: plain zipf)",
-    )
-    loadtest_parser.add_argument(
         "--seed", type=int, default=42,
         help="schedule seed; same seed = same request sequence (default 42)",
     )
@@ -967,8 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-depth",
         "--request-timeout",
         "--store-dir",
-        "--batch-window-ms",
-        "--batch-max",
         "--tag",
         "--out",
         "--compare",

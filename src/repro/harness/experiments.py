@@ -38,17 +38,17 @@ _MEMO = LruCache(EXPERIMENT_CACHE_SIZE, metrics_prefix="experiments.cache")
 
 def experiment_key(
     algorithm: str, dataset: str, gpu_name: str, mode: SystemMode, **kwargs
-) -> Tuple:
+) -> str:
     """Canonical cache key of one simulated grid cell.
 
-    A thin convenience over :meth:`~repro.request.RunRequest.cache_key`
+    A thin convenience over :meth:`~repro.request.RunRequest.cache_digest`
     — the one key derivation shared with the runner's whole-run cache,
     the parallel sweep engine, and the ``repro serve`` service.  The
     sweep engine primes the cache under the same keys the figure
     drivers read, so the scoreboard sweep after a parallel bench is
     pure cache hits.
     """
-    return RunRequest.make(algorithm, dataset, gpu_name, mode, **kwargs).cache_key()
+    return RunRequest.make(algorithm, dataset, gpu_name, mode, **kwargs).cache_digest()
 
 
 def _run(
@@ -69,7 +69,7 @@ def _run(
     read.
     """
     request = RunRequest.make(algorithm, dataset, gpu_name, mode, **kwargs)
-    key = request.cache_key()
+    key = request.cache_digest()
     report = _MEMO.get(key)
     if report is None:
         report = execute_request(request, obs=obs).report
@@ -77,7 +77,7 @@ def _run(
     return report
 
 
-def prime_experiment_cache(key: Tuple, report: RunReport) -> None:
+def prime_experiment_cache(key: str, report: RunReport) -> None:
     """Install a report computed elsewhere (a sweep worker) under ``key``."""
     _MEMO.put(key, report)
 

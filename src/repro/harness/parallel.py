@@ -33,7 +33,7 @@ import multiprocessing.connection
 import os
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..algorithms.common import SystemMode
@@ -325,8 +325,8 @@ class SweepCell:
         )
 
     @property
-    def key(self) -> Tuple:
-        return self.request().cache_key()
+    def key(self) -> str:
+        return self.request().cache_digest()
 
     def label(self) -> str:
         return f"{self.algorithm}/{self.dataset}/{self.gpu}/{self.mode.value}"
@@ -344,10 +344,6 @@ class CellPayload:
     #: only).  Trace-less (``trace_id=""``) until the parent re-parents
     #: them under its own trace — the cross-process stitching protocol.
     spans: Tuple[dict, ...] = ()
-    #: Per-cell wall-clock inside a grouped (batched) task, where the
-    #: scheduler-side duration covers the whole group.  None for cells
-    #: dispatched individually.
-    elapsed_s: Optional[float] = None
 
 
 def simulate_cell(cell: SweepCell) -> CellPayload:
@@ -362,37 +358,9 @@ def simulate_cell(cell: SweepCell) -> CellPayload:
     """
     request = cell.request()
     # Pre-warm the dataset cache so the timed repetitions measure the
-    # simulation, not graph generation (subsequent loads are dict hits).
+    # simulation, not graph generation (subsequent loads are dict hits,
+    # and a forked worker inherits the graphs sweep_cells loaded).
     load_dataset(request.dataset, seed=request.seed)
-    return _cell_payload(cell)
-
-
-def simulate_cell_group(cells: Tuple[SweepCell, ...]) -> Tuple[CellPayload, ...]:
-    """Sweep worker for a batch of cells sharing one dataset.
-
-    The dataset is loaded (generated) **once** for the whole group — the
-    cross-request amortization of the batched runner, applied to the
-    sweep: without grouping, every forked worker regenerates the graph
-    for every cell it runs.  Each cell still executes the exact
-    :func:`simulate_cell` body, so simulated metrics and reports are
-    byte-identical to the ungrouped sweep (pinned by tests).
-    """
-    if cells:
-        request = cells[0].request()
-        load_dataset(request.dataset, seed=request.seed)
-    payloads = []
-    for cell in cells:
-        started = time.perf_counter()
-        payload = _cell_payload(cell)
-        payloads.append(
-            replace(payload, elapsed_s=time.perf_counter() - started)
-        )
-    return tuple(payloads)
-
-
-def _cell_payload(cell: SweepCell) -> CellPayload:
-    """The per-cell execution body shared by both sweep workers."""
-    request = cell.request()
     warmup_s: Optional[float] = None
     samples: List[float] = []
     if cell.reps > 0:
@@ -450,32 +418,23 @@ def sweep_cells(
     retries: int = 1,
     progress: Optional[Callable[["CellOutcome", int, int], None]] = None,
     prime_cache: bool = True,
-    batch_datasets: bool = False,
 ) -> List[CellOutcome]:
     """Simulate every cell (``jobs``-wide) and return grid-ordered results.
+
+    Each distinct dataset of the cells is loaded (generated) once, here,
+    before any worker forks: every worker inherits the graphs, instead
+    of generating its cell's graph again.
 
     With ``prime_cache`` (the default) every returned report is also
     installed in the shared experiment cache under its canonical key, so
     figure drivers and the scoreboard sweep that follow are cache hits.
-
-    With ``batch_datasets`` cells sharing a dataset are dispatched as
-    ONE sweep task (:func:`simulate_cell_group`): the graph is generated
-    once per group instead of once per cell per worker.  Results are
-    still returned in grid order with byte-identical reports and
-    simulated metrics; note ``timeout_s`` then bounds a whole group.
     """
     if jobs < 1:
         raise ExperimentError(f"jobs must be >= 1, got {jobs}")
     cells = list(cells)
-    if batch_datasets:
-        return _sweep_cell_groups(
-            cells,
-            jobs=jobs,
-            timeout_s=timeout_s,
-            retries=retries,
-            progress=progress,
-            prime_cache=prime_cache,
-        )
+    requests = [cell.request() for cell in cells]
+    for dataset, seed in sorted({(r.dataset, r.seed) for r in requests}):
+        load_dataset(dataset, seed=seed)
     wrapped: Optional[Callable[[SweepOutcome, int, int], None]] = None
     if progress is not None:
 
@@ -495,75 +454,6 @@ def sweep_cells(
         for result in cell_outcomes:
             prime_experiment_cache(result.cell.key, result.payload.report)
     return cell_outcomes
-
-
-def _sweep_cell_groups(
-    cells: List[SweepCell],
-    *,
-    jobs: int,
-    timeout_s: Optional[float],
-    retries: int,
-    progress: Optional[Callable[["CellOutcome", int, int], None]],
-    prime_cache: bool,
-) -> List[CellOutcome]:
-    """The ``batch_datasets`` dispatch path of :func:`sweep_cells`."""
-    groups: dict = {}
-    for index, cell in enumerate(cells):
-        groups.setdefault(cell.dataset, []).append(index)
-    group_indices = list(groups.values())
-    tasks = [tuple(cells[i] for i in indices) for indices in group_indices]
-    done_cells = 0
-
-    def report_group(outcome: SweepOutcome, _done: int, _total: int) -> None:
-        nonlocal done_cells
-        if progress is None:
-            return
-        for cell_outcome in _to_group_outcomes(
-            tasks[outcome.index], outcome
-        ):
-            done_cells += 1
-            progress(cell_outcome, done_cells, len(cells))
-
-    outcomes = run_sweep(
-        tasks,
-        simulate_cell_group,
-        jobs=jobs,
-        timeout_s=timeout_s,
-        retries=retries,
-        progress=report_group if progress is not None else None,
-    )
-    results: List[Optional[CellOutcome]] = [None] * len(cells)
-    for outcome, indices in zip(outcomes, group_indices):
-        for cell_outcome, index in zip(
-            _to_group_outcomes(tasks[outcome.index], outcome), indices
-        ):
-            results[index] = cell_outcome
-    cell_outcomes = [outcome for outcome in results if outcome is not None]
-    if prime_cache:
-        for result in cell_outcomes:
-            prime_experiment_cache(result.cell.key, result.payload.report)
-    return cell_outcomes
-
-
-def _to_group_outcomes(
-    group: Tuple[SweepCell, ...], outcome: SweepOutcome
-) -> List[CellOutcome]:
-    """Unpack one grouped task's payload tuple into per-cell outcomes."""
-    return [
-        CellOutcome(
-            cell=cell,
-            payload=payload,
-            attempts=outcome.attempts,
-            worker_pid=outcome.worker_pid,
-            duration_s=(
-                payload.elapsed_s
-                if payload.elapsed_s is not None
-                else outcome.duration_s
-            ),
-            fell_back=outcome.fell_back,
-        )
-        for cell, payload in zip(group, outcome.value)
-    ]
 
 
 def _to_cell_outcome(cells: Sequence[SweepCell], outcome: SweepOutcome) -> CellOutcome:

@@ -15,9 +15,8 @@ threads at once, and an unlocked ``OrderedDict`` corrupts under
 concurrent ``move_to_end``/``popitem`` (a ``KeyError`` mid-reorder at
 best, a broken internal linked list at worst).  All mutation happens
 under one internal lock.  Metric counting stays outside it, so a cache
-counter never nests the registry under the data lock, but runs under a
-second lock the cache owns: a counter increment is a read-modify-write,
-and handler threads counting at once would otherwise lose updates.
+counter never nests the registry's lock under the data lock; the
+registry's counters are atomic on their own.
 """
 
 from __future__ import annotations
@@ -59,15 +58,13 @@ class LruCache:
         self._prefix = metrics_prefix
         self._registry = registry
         self._lock = threading.Lock()
-        self._count_lock = threading.Lock()
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
 
     def _count(self, event: str, n: int = 1) -> None:
         if self._prefix is None or n <= 0:
             return
         registry = self._registry if self._registry is not None else global_metrics()
-        with self._count_lock:
-            registry.counter(f"{self._prefix}.{event}").inc(n)
+        registry.counter(f"{self._prefix}.{event}").inc(n)
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Look up ``key``, refreshing its recency; counts a hit or miss."""

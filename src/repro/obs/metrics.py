@@ -22,6 +22,14 @@ Instruments follow the Prometheus vocabulary:
 
 :class:`NullMetrics` is the disabled registry: it hands out shared
 no-op instruments, so instrumentation sites never branch.
+
+**Thread safety.**  A registry and its instruments share one lock: an
+update (``inc``, ``set``, ``observe``, ``observe_many``), a get-or-create
+and a snapshot or render are each atomic, so the serve daemon's handler
+and worker threads record into one registry without losing updates and
+never render a half-applied one.  The lock is re-entrant, because a
+render reads every instrument while holding it.  The null instruments
+take no lock.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from __future__ import annotations
 import bisect
 import math
 import re
+import threading
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -130,15 +139,24 @@ def _format_labels(key: LabelKey) -> str:
 
 
 class Counter:
-    """Monotonic total, one running sum per label combination."""
+    """Monotonic total, one running sum per label combination.
+
+    ``lock`` is the owning registry's; a standalone instrument has its own.
+    """
 
     kind = "counter"
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, lock: Any = None):
         self.name = name
+        self._lock = lock if lock is not None else threading.RLock()
         self._series: Dict[LabelKey, float] = {}
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
+        with self._lock:
+            self._add(amount, labels)
+
+    def _add(self, amount: float, labels: Dict[str, Any]) -> None:
+        """:meth:`inc`, for a caller that holds the lock."""
         if amount < 0:
             raise ObservabilityError(f"counter {self.name}: negative increment")
         key = _label_key(labels)
@@ -148,13 +166,15 @@ class Counter:
         return self._series.get(_label_key(labels), 0.0)
 
     def total(self) -> float:
-        return sum(self._series.values())
+        with self._lock:
+            return sum(self._series.values())
 
     def snapshot(self) -> List[Dict[str, Any]]:
-        return [
-            {"labels": dict(key), "value": value}
-            for key, value in sorted(self._series.items())
-        ]
+        with self._lock:
+            return [
+                {"labels": dict(key), "value": value}
+                for key, value in sorted(self._series.items())
+            ]
 
 
 class Gauge:
@@ -162,12 +182,15 @@ class Gauge:
 
     kind = "gauge"
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, lock: Any = None):
         self.name = name
+        self._lock = lock if lock is not None else threading.RLock()
         self._series: Dict[LabelKey, float] = {}
 
     def set(self, value: float, **labels: Any) -> None:
-        self._series[_label_key(labels)] = float(value)
+        key = _label_key(labels)
+        with self._lock:
+            self._series[key] = float(value)
 
     def value(self, **labels: Any) -> float:
         key = _label_key(labels)
@@ -178,10 +201,11 @@ class Gauge:
         return self._series[key]
 
     def snapshot(self) -> List[Dict[str, Any]]:
-        return [
-            {"labels": dict(key), "value": value}
-            for key, value in sorted(self._series.items())
-        ]
+        with self._lock:
+            return [
+                {"labels": dict(key), "value": value}
+                for key, value in sorted(self._series.items())
+            ]
 
 
 class _HistogramSeries:
@@ -233,11 +257,17 @@ class Histogram:
 
     kind = "histogram"
 
-    def __init__(self, name: str, buckets: Optional[Sequence[float]] = None):
+    def __init__(
+        self,
+        name: str,
+        buckets: Optional[Sequence[float]] = None,
+        lock: Any = None,
+    ):
         self.name = name
         self.buckets: Optional[Tuple[float, ...]] = (
             None if buckets is None else _normalize_buckets(buckets)
         )
+        self._lock = lock if lock is not None else threading.RLock()
         self._series: Dict[LabelKey, _HistogramSeries] = {}
 
     def _series_for(self, labels: Dict[str, Any]) -> _HistogramSeries:
@@ -249,6 +279,11 @@ class Histogram:
         return series
 
     def observe(self, value: float, **labels: Any) -> None:
+        with self._lock:
+            self._add(value, labels)
+
+    def _add(self, value: float, labels: Dict[str, Any]) -> None:
+        """:meth:`observe`, for a caller that holds the lock."""
         self._series_for(labels).add(float(value), self.buckets)
 
     def observe_many(self, values: Iterable[float], **labels: Any) -> None:
@@ -256,29 +291,34 @@ class Histogram:
         arr = np.asarray(values, dtype=np.float64)
         if arr.size == 0:
             return
-        series = self._series_for(labels)
-        series.count += int(arr.size)
-        series.sum += float(arr.sum())
-        series.min = min(series.min, float(arr.min()))
-        series.max = max(series.max, float(arr.max()))
-        if series.bucket_counts is not None:
+        total, low, high = float(arr.sum()), float(arr.min()), float(arr.max())
+        counts = None
+        if self.buckets is not None:
             indices = np.searchsorted(np.asarray(self.buckets), arr, side="left")
-            counts = np.bincount(indices, minlength=len(series.bucket_counts))
-            for i, count in enumerate(counts):
-                series.bucket_counts[i] += int(count)
+            counts = np.bincount(indices, minlength=len(self.buckets) + 1)
+        with self._lock:
+            series = self._series_for(labels)
+            series.count += int(arr.size)
+            series.sum += total
+            series.min = min(series.min, low)
+            series.max = max(series.max, high)
+            if counts is not None:
+                for i, count in enumerate(counts):
+                    series.bucket_counts[i] += int(count)
 
     def stats(self, **labels: Any) -> Dict[str, float]:
         key = _label_key(labels)
-        if key not in self._series:
-            return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0}
-        s = self._series[key]
-        return {
-            "count": s.count,
-            "sum": s.sum,
-            "min": s.min,
-            "max": s.max,
-            "mean": s.mean,
-        }
+        with self._lock:
+            if key not in self._series:
+                return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0, "mean": 0.0}
+            s = self._series[key]
+            return {
+                "count": s.count,
+                "sum": s.sum,
+                "min": s.min,
+                "max": s.max,
+                "mean": s.mean,
+            }
 
     def quantile(self, q: float, **labels: Any) -> float:
         """Estimate the ``q``-quantile from this series' bucket counts.
@@ -291,34 +331,36 @@ class Histogram:
             raise ObservabilityError(
                 f"histogram {self.name}: quantile needs fixed buckets"
             )
-        series = self._series.get(_label_key(labels))
-        if series is None or series.count == 0:
-            return 0.0
-        cumulative = [
-            (bound, cum)
-            for bound, (_, cum) in zip(
-                tuple(self.buckets) + (float("inf"),),
-                series.cumulative_buckets(self.buckets),
+        with self._lock:
+            series = self._series.get(_label_key(labels))
+            if series is None or series.count == 0:
+                return 0.0
+            cumulative = [
+                (bound, cum)
+                for bound, (_, cum) in zip(
+                    tuple(self.buckets) + (float("inf"),),
+                    series.cumulative_buckets(self.buckets),
+                )
+            ]
+            return quantile_from_buckets(
+                cumulative, q, lo=series.min, hi=series.max
             )
-        ]
-        return quantile_from_buckets(
-            cumulative, q, lo=series.min, hi=series.max
-        )
 
     def snapshot(self) -> List[Dict[str, Any]]:
         out: List[Dict[str, Any]] = []
-        for key, s in sorted(self._series.items()):
-            entry: Dict[str, Any] = {
-                "labels": dict(key),
-                "count": s.count,
-                "sum": s.sum,
-                "min": s.min,
-                "max": s.max,
-                "mean": s.mean,
-            }
-            if self.buckets is not None:
-                entry["buckets"] = s.cumulative_buckets(self.buckets)
-            out.append(entry)
+        with self._lock:
+            for key, s in sorted(self._series.items()):
+                entry: Dict[str, Any] = {
+                    "labels": dict(key),
+                    "count": s.count,
+                    "sum": s.sum,
+                    "min": s.min,
+                    "max": s.max,
+                    "mean": s.mean,
+                }
+                if self.buckets is not None:
+                    entry["buckets"] = s.cumulative_buckets(self.buckets)
+                out.append(entry)
         return out
 
 
@@ -328,13 +370,17 @@ class MetricsRegistry:
     enabled = True
 
     def __init__(self):
+        self._lock = threading.RLock()
         self._metrics: Dict[str, Any] = {}
 
-    def _get(self, name: str, cls):
+    def _get(self, name: str, cls, **options: Any):
         metric = self._metrics.get(name)
         if metric is None:
-            metric = self._metrics[name] = cls(name)
-        elif not isinstance(metric, cls):
+            with self._lock:
+                metric = self._metrics.setdefault(
+                    name, cls(name, lock=self._lock, **options)
+                )
+        if not isinstance(metric, cls):
             raise ObservabilityError(
                 f"metric {name!r} already registered as {metric.kind}"
             )
@@ -349,14 +395,7 @@ class MetricsRegistry:
     def histogram(
         self, name: str, buckets: Optional[Sequence[float]] = None
     ) -> Histogram:
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = self._metrics[name] = Histogram(name, buckets=buckets)
-            return metric
-        if not isinstance(metric, Histogram):
-            raise ObservabilityError(
-                f"metric {name!r} already registered as {metric.kind}"
-            )
+        metric = self._get(name, Histogram, buckets=buckets)
         if buckets is not None and metric.buckets != _normalize_buckets(buckets):
             raise ObservabilityError(
                 f"histogram {name!r} already registered with different buckets"
@@ -365,24 +404,27 @@ class MetricsRegistry:
 
     def record(self, updates: Iterable[Update]) -> None:
         """Apply ``updates`` in order, exactly as the ``inc`` / ``observe``
-        calls they stand for.  A layer that prices work once and reports
-        it later keeps its updates in this form (see
-        :meth:`repro.gpu.device.GpuDevice.price`)."""
-        for kind, name, value, labels in updates:
-            if kind == "counter":
-                self.counter(name).inc(value, **labels)
-            else:
-                self.histogram(name).observe(value, **labels)
+        calls they stand for, under one hold of the lock.  A layer that
+        prices work once and reports it later keeps its updates in this
+        form (see :meth:`repro.gpu.device.GpuDevice.price`)."""
+        with self._lock:
+            for kind, name, value, labels in updates:
+                if kind == "counter":
+                    self.counter(name)._add(value, labels)
+                else:
+                    self.histogram(name)._add(value, labels)
 
     def names(self) -> List[str]:
-        return sorted(self._metrics)
+        with self._lock:
+            return sorted(self._metrics)
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """JSON-serializable dump of every series of every metric."""
-        return {
-            name: {"kind": metric.kind, "series": metric.snapshot()}
-            for name, metric in sorted(self._metrics.items())
-        }
+        with self._lock:
+            return {
+                name: {"kind": metric.kind, "series": metric.snapshot()}
+                for name, metric in sorted(self._metrics.items())
+            }
 
     def flat_snapshot(self) -> List[Dict[str, Any]]:
         """Label-flattened, deterministically ordered JSON form.
@@ -427,10 +469,14 @@ class MetricsRegistry:
         and output is deterministically ordered, like every other
         snapshot form in this module.
         """
+        with self._lock:
+            taken = [
+                (name, metric, metric.snapshot())
+                for name, metric in sorted(self._metrics.items())
+            ]
         lines: List[str] = []
-        for name, metric in sorted(self._metrics.items()):
+        for name, metric, series_list in taken:
             base = _prometheus_name(name)
-            series_list = metric.snapshot()
             if metric.kind == "histogram":
                 if getattr(metric, "buckets", None) is not None:
                     lines.append(f"# TYPE {base} histogram")
@@ -529,6 +575,9 @@ class NullMetrics(MetricsRegistry):
 
     def counter(self, name: str) -> Counter:
         return _NULL_COUNTER
+
+    def record(self, updates: Iterable[Update]) -> None:
+        pass
 
     def gauge(self, name: str) -> Gauge:
         return _NULL_GAUGE

@@ -5,9 +5,10 @@ drivers' memoized ``_run``, the runner's ``cached_run``, the parallel
 sweep engine's worker cells, and the ``repro serve`` HTTP service —
 used to build its own ad-hoc cache key.  :class:`RunRequest` is the one
 canonical description of a simulated run on a *registry dataset*, and
-its :meth:`RunRequest.cache_key` is the single key derivation all of
-them share, so a report computed through any entry point is a cache hit
-for every other.
+its :meth:`RunRequest.cache_digest` is the single identity all of them
+share, so a report computed through any entry point is a cache hit for
+every other, and two requests share a cache entry only when their wire
+forms are equal (``1``, ``1.0`` and ``true`` are three runs).
 
 :class:`RunOutcome` is what ``run_algorithm`` returns: read its
 ``.result`` / ``.report`` / ``.system`` attributes.
@@ -88,22 +89,6 @@ class RunRequest:
             seed=seed,
         )
 
-    def cache_key(self) -> Tuple:
-        """The one canonical cache key of this run.
-
-        Shared by the experiment-report memo, the whole-run cache, the
-        parallel sweep engine, and the simulation service — priming any
-        one of them makes the run a hit for all of them.
-        """
-        return (
-            self.algorithm,
-            self.dataset,
-            self.gpu_name,
-            self.mode,
-            self.seed,
-            self.kwargs,
-        )
-
     def canonical_bytes(self) -> bytes:
         """The canonical wire encoding of this request.
 
@@ -117,14 +102,17 @@ class RunRequest:
         ).encode("utf-8")
 
     def cache_digest(self) -> str:
-        """The one canonical *string* digest of this run.
+        """The one canonical identity of this run.
 
-        SHA-256 over :meth:`canonical_bytes`, hex-encoded.  Everything
-        that needs a stable string identity for a run uses this one
-        derivation: the service journal's ``cache_key`` field, the L2
-        result store's filenames, and the cluster front's
-        consistent-hash ring placement — so an entry written by any
-        component is addressable by every other.
+        SHA-256 over :meth:`canonical_bytes`, hex-encoded.  Every cache
+        keys a run by this one derivation: the experiment-report memo,
+        the whole-run L1 cache, the parallel sweep cells, the L2 result
+        store's filenames, the service's response memo, single-flight
+        and journal ``cache_key`` field, and the cluster front's
+        consistent-hash ring placement — so priming any one of them
+        makes the run a hit for all of them.  Python's tuple equality
+        would make ``1``, ``1.0`` and ``True`` one key; their JSON
+        encodings differ, so their digests do too.
         """
         return hashlib.sha256(self.canonical_bytes()).hexdigest()
 

@@ -8,9 +8,8 @@ A request arriving beyond that is rejected *deterministically* with a
 SCU queues: work beyond the unit's capacity is not silently buffered,
 it is pushed back to the issuing side.
 
-Gauges track queue depth and in-flight work; both are updated under the
-queue's condition lock, so the racy plain-dict instruments stay
-consistent.
+Gauges track queue depth and in-flight work; both are set under the
+queue's condition lock, so they always show one state of the queue.
 """
 
 from __future__ import annotations
@@ -160,8 +159,6 @@ class ServiceQueue:
                 self._inflight += 1
                 self._publish()
                 if self._observe_wait is not None:
-                    # Under the cond lock, like the gauges: the plain
-                    # histogram instrument must not see races.
                     self._observe_wait(task.queue_wait_s)
             try:
                 task.value = task.fn()

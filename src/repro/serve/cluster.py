@@ -190,7 +190,6 @@ class ClusterFront:
             raise ServiceError("a cluster front needs at least one worker URL")
         self.config = config if config is not None else ClusterConfig()
         self.registry = MetricsRegistry()
-        self._metrics_lock = threading.Lock()
         self._lock = threading.Lock()
         self.workers: Dict[str, WorkerState] = {
             url: WorkerState(url=url) for url in worker_urls
@@ -201,7 +200,7 @@ class ClusterFront:
         self._inflight_cond = threading.Condition()
         self._monitor: Optional[threading.Thread] = None
         self._monitor_stop = threading.Event()
-        # Pre-register so concurrent first touches never race.
+        # Pre-register so the first exposition lists every counter.
         for name in (
             ROUTED_METRIC,
             PROXY_ERRORS_METRIC,
@@ -210,15 +209,6 @@ class ClusterFront:
         ):
             self.registry.counter(name)
         self.registry.gauge(HEALTHY_WORKERS_METRIC).set(len(worker_urls))
-
-    # -- metrics --------------------------------------------------------
-    def _count(self, name: str, **labels: Any) -> None:
-        with self._metrics_lock:
-            self.registry.counter(name).inc(**labels)
-
-    def _set_healthy_gauge(self, value: int) -> None:
-        with self._metrics_lock:
-            self.registry.gauge(HEALTHY_WORKERS_METRIC).set(value)
 
     # -- ring / health --------------------------------------------------
     def route(self, digest: str) -> Optional[str]:
@@ -239,8 +229,8 @@ class ClusterFront:
             state.healthy = False
             self.ring.remove(url)
             healthy = sum(1 for s in self.workers.values() if s.healthy)
-        self._count(REBALANCES_METRIC, direction="out")
-        self._set_healthy_gauge(healthy)
+        self.registry.counter(REBALANCES_METRIC).inc(direction="out")
+        self.registry.gauge(HEALTHY_WORKERS_METRIC).set(healthy)
 
     def mark_healthy(self, url: str) -> None:
         """Re-admit a recovered worker to the ring (no-op if present)."""
@@ -255,8 +245,8 @@ class ClusterFront:
             state.healthy = True
             self.ring.add(url)
             healthy = sum(1 for s in self.workers.values() if s.healthy)
-        self._count(REBALANCES_METRIC, direction="in")
-        self._set_healthy_gauge(healthy)
+        self.registry.counter(REBALANCES_METRIC).inc(direction="in")
+        self.registry.gauge(HEALTHY_WORKERS_METRIC).set(healthy)
 
     def check_workers(self) -> None:
         """One health sweep: probe every worker's ``/healthz``."""
@@ -294,7 +284,7 @@ class ClusterFront:
     ) -> _ProxyResult:
         """Route one ``POST /run`` body to its owning worker."""
         if self._draining:
-            self._count(UNAVAILABLE_METRIC, reason="draining")
+            self.registry.counter(UNAVAILABLE_METRIC).inc(reason="draining")
             return self._unavailable("cluster front is draining")
         # Validate here so malformed bodies are rejected at the edge
         # with the same deterministic 400 a worker would produce.
@@ -314,9 +304,9 @@ class ClusterFront:
     ) -> _ProxyResult:
         url = self.route(digest)
         if url is None:
-            self._count(UNAVAILABLE_METRIC, reason="no-workers")
+            self.registry.counter(UNAVAILABLE_METRIC).inc(reason="no-workers")
             return self._unavailable("no healthy workers on the ring")
-        self._count(ROUTED_METRIC, worker=url)
+        self.registry.counter(ROUTED_METRIC).inc(worker=url)
         headers = {"Content-Type": "application/json"}
         if traceparent:
             headers["traceparent"] = traceparent
@@ -345,9 +335,9 @@ class ClusterFront:
             # Transport failure: the worker is gone.  Rebalance the
             # ring and tell the client to retry — the retry re-routes
             # onto a surviving worker (which still sees the shared L2).
-            self._count(PROXY_ERRORS_METRIC, worker=url)
+            self.registry.counter(PROXY_ERRORS_METRIC).inc(worker=url)
             self.mark_unhealthy(url, f"proxy: {error}")
-            self._count(UNAVAILABLE_METRIC, reason="worker-lost")
+            self.registry.counter(UNAVAILABLE_METRIC).inc(reason="worker-lost")
             return self._unavailable(
                 "worker lost mid-request; ring rebalanced, retry"
             )
@@ -409,8 +399,7 @@ class ClusterFront:
 
     def metrics_text(self) -> str:
         """Front counters plus every live worker's scrape, merged."""
-        with self._metrics_lock:
-            own = self.registry.render_prometheus()
+        own = self.registry.render_prometheus()
         scrapes = []
         with self._lock:
             live = [s.url for s in self.workers.values() if s.healthy]

@@ -15,12 +15,9 @@ three protections, outermost first:
 3. **admission control** — at most ``queue_depth`` requests wait for the
    ``workers``-wide pool; overflow is a deterministic 429 + Retry-After.
 
-Every single-flight leader seals a batch and runs it as ONE queue task
-through one worker-side body: re-probe the cache, simulate the misses
-in order, store them.  With no ``--batch-window-ms`` the batch is the
-leader alone, run at once; with a window, compatible leaders meet in a
-:class:`~repro.serve.batching.MicroBatcher` first.  ``--isolate`` runs
-the simulate step in a fork-spawned child via
+Every single-flight leader runs as ONE queue task through one
+worker-side body: re-probe the cache, simulate its request, store it.
+``--isolate`` runs the simulate step in a fork-spawned child via
 :func:`~repro.harness.parallel.run_sweep` with ``fallback=False``, so a
 per-request timeout genuinely kills the work instead of abandoning a
 thread.
@@ -36,10 +33,11 @@ import os
 import signal
 import threading
 import time
+import traceback
 import urllib.parse
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..algorithms import runner
 from ..errors import (
@@ -70,15 +68,6 @@ from ..obs.spans import (
 from ..phases import RunReport
 from ..request import RunRequest
 from .admission import REJECTED_METRIC, ServiceQueue
-from .batching import (
-    BATCH_BATCHES_METRIC,
-    BATCH_FUSED_METRIC,
-    BATCH_REQUESTS_METRIC,
-    BATCH_SIZE_BUCKETS,
-    BATCH_SIZE_METRIC,
-    BatchMember,
-    MicroBatcher,
-)
 from .protocol import (
     MAX_BODY_BYTES,
     encode,
@@ -98,7 +87,6 @@ from .store import (
 from .telemetry import (
     COALESCE_WAIT_METRIC,
     OUTCOME_BAD_REQUEST,
-    OUTCOME_BATCHED,
     OUTCOME_CACHED,
     OUTCOME_COALESCED,
     OUTCOME_DRAINING,
@@ -157,34 +145,26 @@ class ServiceConfig:
     store_dir: Optional[str] = None
     #: Byte bound of the L2 store (LRU eviction by mtime beyond it).
     store_max_bytes: int = DEFAULT_STORE_MAX_BYTES
-    #: Micro-batching admission window (milliseconds).  0 (the default)
-    #: runs each single-flight leader as a batch of one, at once.
-    #: Positive: the first leader for a ``(dataset, seed, gpu)``
-    #: compatibility key waits this long for compatible requests, then
-    #: the whole batch runs as ONE queue task of per-request simulations.
-    batch_window_ms: float = 0.0
-    #: Seal a window early once this many requests joined.
-    batch_max: int = 8
 
 
-def _simulate_requests(task: Tuple) -> Tuple[List[RunReport], list]:
-    """Simulate a batch's cache misses in order; returns reports and spans.
+def _simulate_request(task: Tuple) -> Tuple[RunReport, list]:
+    """Simulate one request; returns its report and its phase spans.
 
-    ``task`` is ``(requests, spans_under)``.  ``spans_under`` is ``None``
-    for an untraced batch, else ``(trace_id, parent_id)``: one tracer
-    records every request's phases, which come back as span records
-    hung under ``parent_id``.  A forked child (``--isolate``) is given
+    ``task`` is ``(request, spans_under)``.  ``spans_under`` is ``None``
+    for an untraced request, else ``(trace_id, parent_id)``: a tracer
+    records the run's phases, which come back as span records hung
+    under ``parent_id``.  A forked child (``--isolate``) is given
     ``("", None)`` and ships its spans back trace-less, on a track named
     after its pid, for the service to adopt with
     :func:`~repro.obs.spans.reparent_spans`.
     """
-    requests, spans_under = task
+    request, spans_under = task
     if spans_under is None:
-        return [runner.execute_request(request).report for request in requests], []
+        return runner.execute_request(request).report, []
     trace_id, parent_id = spans_under
     base_us = perf_to_epoch_us(time.perf_counter())
     obs = make_observability()
-    reports = [runner.execute_request(request, obs=obs).report for request in requests]
+    report = runner.execute_request(request, obs=obs).report
     spans = spans_from_tracer(
         obs.tracer,
         trace_id=trace_id,
@@ -192,7 +172,7 @@ def _simulate_requests(task: Tuple) -> Tuple[List[RunReport], list]:
         base_us=base_us,
         process="serve" if trace_id else f"worker-{os.getpid()}",
     )
-    return reports, spans
+    return report, spans
 
 
 class SimulationService:
@@ -201,7 +181,6 @@ class SimulationService:
     def __init__(self, config: ServiceConfig | None = None):
         self.config = config if config is not None else ServiceConfig()
         self.registry = MetricsRegistry()
-        self._metrics_lock = threading.Lock()
         self.telemetry = self.config.telemetry
         self._request_ids = RequestIds()
         self.journal = (
@@ -225,8 +204,8 @@ class SimulationService:
         # emit the cross-trace link span.  Bounded — links on very old
         # leaders just degrade to plain coalesce-wait spans.
         self._leader_spans = LruCache(max(16, self.config.trace_capacity))
-        # Pre-register every service instrument so concurrent first
-        # touches never race on the registry's get-or-create dict.
+        # Pre-register every service instrument, so the first
+        # exposition lists each one.
         self.registry.counter(REQUESTS_METRIC)
         self.registry.counter(SIMULATIONS_METRIC)
         self.registry.counter(REJECTED_METRIC)
@@ -279,7 +258,7 @@ class SimulationService:
         self._singleflight = SingleFlight(
             registry=self.registry,
             observe_wait=(
-                self._make_wait_observer(COALESCE_WAIT_METRIC)
+                self.registry.histogram(COALESCE_WAIT_METRIC).observe
                 if self.telemetry
                 else None
             ),
@@ -290,56 +269,12 @@ class SimulationService:
             registry=self.registry,
             retry_after_s=self.config.retry_after_s,
             observe_wait=(
-                self._make_wait_observer(QUEUE_WAIT_METRIC)
+                self.registry.histogram(QUEUE_WAIT_METRIC).observe
                 if self.telemetry
                 else None
             ),
         )
-        # Micro-batching window: off unless a positive window was
-        # configured, in which case the batch instruments exist from the
-        # first exposition on (pre-registered like everything else).
-        self._batcher: Optional[MicroBatcher] = None
-        if self.config.batch_window_ms > 0:
-            if self.config.run_isolated:
-                raise ServiceError(
-                    "micro-batching (batch_window_ms > 0) is incompatible "
-                    "with run_isolated: isolation enforces each request's "
-                    "deadline by killing its child, and a batch would share "
-                    "one child, so one deadline would kill every member"
-                )
-            for name in (
-                BATCH_REQUESTS_METRIC,
-                BATCH_BATCHES_METRIC,
-                BATCH_FUSED_METRIC,
-            ):
-                self.registry.counter(name)
-            self.registry.histogram(BATCH_SIZE_METRIC, buckets=BATCH_SIZE_BUCKETS)
-            self._batcher = MicroBatcher(
-                window_s=self.config.batch_window_ms / 1000.0,
-                max_size=max(1, self.config.batch_max),
-                execute=self._execute_batch,
-            )
         self._draining = False
-
-    # -- metrics (the registry's instruments are not thread-safe) -------
-    def _count(self, name: str, **labels: Any) -> None:
-        with self._metrics_lock:
-            self.registry.counter(name).inc(**labels)
-
-    def _count_n(self, name: str, n: int) -> None:
-        with self._metrics_lock:
-            self.registry.counter(name).inc(n)
-
-    def _observe_latency(self, name: str, seconds: float) -> None:
-        with self._metrics_lock:
-            self.registry.histogram(name).observe(seconds)
-
-    def _observe_value(self, name: str, value: float) -> None:
-        with self._metrics_lock:
-            self.registry.histogram(name).observe(value)
-
-    def _make_wait_observer(self, name: str):
-        return lambda seconds: self._observe_latency(name, seconds)
 
     # -- per-request telemetry ------------------------------------------
     def begin_request(self, traceparent: Optional[str] = None) -> RequestContext:
@@ -385,12 +320,12 @@ class SimulationService:
         try:
             total_s = time.perf_counter() - ctx.started
             if error is not None:
-                ctx.outcome = _error_outcome(error)
+                ctx.outcome = _classify(error)[2]
             elif ctx.outcome is None:
                 ctx.outcome = OUTCOME_ERROR
             record = ctx.record(status=status, total_s=total_s)
             if self.telemetry:
-                self._observe_latency(TOTAL_METRIC, total_s)
+                self.registry.histogram(TOTAL_METRIC).observe(total_s)
                 self.journal.append(record)
             if self.spans is not None and ctx.trace_id is not None:
                 self._flush_spans(ctx, status=status, total_s=total_s)
@@ -494,9 +429,9 @@ class SimulationService:
             # cluster front's hash ring (pinned by a test).
             ctx.cache_key = digest
         if self._draining:
-            self._count(REJECTED_METRIC, reason="draining")
+            self.registry.counter(REJECTED_METRIC).inc(reason="draining")
             raise ServiceUnavailableError("service is draining; not accepting work")
-        self._count(REQUESTS_METRIC, route="run")
+        self.registry.counter(REQUESTS_METRIC).inc(route="run")
         probe_started = time.perf_counter()
         report, tier = runner.get_cached_report(request, with_tier=True)
         if self.store is not None and tier != "l1":
@@ -542,145 +477,91 @@ class SimulationService:
         return body
 
     def _lead(self, request: RunRequest, ctx: Optional[RequestContext]) -> RunReport:
-        """Single-flight leader body: seal a batch and run it.
+        """Single-flight leader body: run :meth:`_simulate` as ONE queue task.
 
-        Without a window the batch is this leader alone, run at once;
-        with one, compatible leaders meet in the micro-batcher first
-        (identical requests already share this seat through
-        single-flight, so a batch never holds one digest twice).
+        The request's outcome is ``cached`` when the worker's re-probe
+        found its report, else ``simulated``.
         """
-        if self._batcher is None:
-            member = BatchMember(request=request, ctx=ctx)
-            self._execute_batch([member], time.perf_counter())
-            return member.report
-        self._count(BATCH_REQUESTS_METRIC)
-        wait_started = time.perf_counter()
-        member = self._batcher.submit(
-            request, ctx, timeout_s=self.config.request_timeout_s
-        )
-        if not member.leader:
-            # Mirror of the coalesce-wait link: this request rode in a
-            # batch another request led.
-            self._span(ctx, "serve.batch_wait", wait_started, link=member.link)
-        return member.report
-
-    def _execute_batch(self, members: "list[BatchMember]", opened: float) -> None:
-        """Run one sealed batch as ONE queue task, on its leader's thread.
-
-        Every member gets the shared queue-wait attribution and, once the
-        batch ran, its outcome: ``cached`` when the worker's re-probe
-        found its report, else ``simulated`` (``batched`` when >= 2
-        requests shared a window).  In window mode the leader's trace
-        also carries the ``serve.batch`` span the other members link to.
-        """
-        task = self._queue.submit(lambda: self._simulate(members))
+        task = self._queue.submit(lambda: self._simulate(request, ctx))
         try:
-            self._queue.wait(task, timeout_s=self.config.request_timeout_s)
+            report, simulated = self._queue.wait(
+                task, timeout_s=self.config.request_timeout_s
+            )
         finally:
-            for member in members:
-                if member.ctx is not None:
-                    member.ctx.queue_wait_s = task.queue_wait_s
-                    member.ctx.queue_entered = task.submitted_at
-        size = len(members)
-        simulated = OUTCOME_BATCHED if size > 1 else OUTCOME_SIMULATED
-        for member in members:
-            if member.ctx is not None:
-                member.ctx.outcome = simulated if member.simulated else OUTCOME_CACHED
-        if self._batcher is None:
-            return
-        self._count(BATCH_BATCHES_METRIC)
-        if size > 1:
-            self._count_n(BATCH_FUSED_METRIC, size)
-        self._observe_value(BATCH_SIZE_METRIC, float(size))
-        lctx = members[0].ctx
-        batch_span_id = self._span(
-            lctx,
-            "serve.batch",
-            opened,
-            batch_size=size,
-            simulated=sum(member.simulated for member in members),
-            window_ms=self.config.batch_window_ms,
-        )
-        if batch_span_id is not None:
-            for member in members:
-                member.link = (lctx.trace_id, batch_span_id)
+            if ctx is not None:
+                ctx.queue_wait_s = task.queue_wait_s
+                ctx.queue_entered = task.submitted_at
+        if ctx is not None:
+            ctx.outcome = OUTCOME_SIMULATED if simulated else OUTCOME_CACHED
+        return report
 
-    def _simulate(self, members: "list[BatchMember]") -> None:
-        """Worker-side body of one sealed batch; fills every member's report.
+    def _simulate(
+        self, request: RunRequest, ctx: Optional[RequestContext]
+    ) -> Tuple[RunReport, bool]:
+        """Worker-side body of a leader; returns ``(report, simulated)``.
 
-        Re-probes each member (a leader that finished since the
-        handler's probe served it: not a simulation), simulates the
-        misses in order, records ``serve.simulate`` with their phase
-        spans beneath it on the leader's trace, and stores them.  With
-        ``--isolate`` only the simulate step runs in a child process, so
-        a cache hit forks nothing and each report reaches this process's
-        tiers once.
+        Re-probes the cache (a leader that finished since the handler's
+        probe served it: not a simulation), else simulates the request,
+        records ``serve.simulate`` with its phase spans beneath it, and
+        stores the report.  With ``--isolate`` only the simulate step
+        runs in a child process, so a cache hit forks nothing and each
+        report reaches this process's tiers once.
         """
-        misses = []
-        for member in members:
-            member.report = runner.get_cached_report(member.request)
-            if member.report is None:
-                misses.append(member)
-        if not misses:
-            return
-        self._count_n(SIMULATIONS_METRIC, len(misses))
-        lctx = members[0].ctx
-        traced = self._traced(lctx)
+        report = runner.get_cached_report(request)
+        if report is not None:
+            return report, False
+        self.registry.counter(SIMULATIONS_METRIC).inc()
+        traced = self._traced(ctx)
         sim_span_id = new_span_id() if traced else None
-        requests = [member.request for member in misses]
         started = time.perf_counter()
         if not self.config.run_isolated:
-            reports, spans = _simulate_requests(
-                (requests, (lctx.trace_id, sim_span_id) if traced else None)
+            report, spans = _simulate_request(
+                (request, (ctx.trace_id, sim_span_id) if traced else None)
             )
         else:
-            reports, spans = self._run_in_child(
-                (requests, ("", None) if traced else None)
+            report, spans = self._run_in_child(
+                (request, ("", None) if traced else None)
             )
             if traced:
                 spans = reparent_spans(
                     spans,
-                    trace_id=lctx.trace_id,
+                    trace_id=ctx.trace_id,
                     parent_id=sim_span_id,
                     source="isolated worker",
                 )
         simulate_s = time.perf_counter() - started
-        for member, report in zip(misses, reports):
-            member.report = report
-            member.simulated = True
-            if member.ctx is not None:
-                member.ctx.simulate_s = simulate_s
+        if ctx is not None:
+            ctx.simulate_s = simulate_s
         if traced:
             self._span(
-                lctx,
+                ctx,
                 "serve.simulate",
                 started,
                 simulate_s,
                 span_id=sim_span_id,
-                algorithm=requests[0].algorithm,
-                mode=requests[0].mode,
+                algorithm=request.algorithm,
+                mode=request.mode,
                 isolated=self.config.run_isolated,
             )
-            lctx.spans.extend(spans)
+            ctx.spans.extend(spans)
             # Published so coalesced followers can link to this span.
-            for request in requests:
-                self._leader_spans.put(
-                    request.cache_digest(), (lctx.trace_id, sim_span_id)
-                )
+            self._leader_spans.put(
+                request.cache_digest(), (ctx.trace_id, sim_span_id)
+            )
         if self.telemetry:
-            self._observe_latency(SIMULATE_METRIC, simulate_s)
+            self.registry.histogram(SIMULATE_METRIC).observe(simulate_s)
         put_started = time.perf_counter()
-        for member in misses:
-            runner.put_cached_report(member.request, member.report)
+        runner.put_cached_report(request, report)
         if self.store is not None:
-            self._span(lctx, "serve.store.put", put_started)
+            self._span(ctx, "serve.store.put", put_started)
+        return report, True
 
-    def _run_in_child(self, task: Tuple) -> Tuple[list, list]:
-        """:func:`_simulate_requests` in a killable child (hard deadline)."""
+    def _run_in_child(self, task: Tuple) -> Tuple[RunReport, list]:
+        """:func:`_simulate_request` in a killable child (hard deadline)."""
         try:
             (outcome,) = run_sweep(
                 [task],
-                _simulate_requests,
+                _simulate_request,
                 jobs=2,  # >1 forces process isolation even for one task
                 timeout_s=self.config.request_timeout_s,
                 retries=0,
@@ -756,9 +637,9 @@ class SimulationService:
         }
 
     def metrics_text(self) -> str:
-        with self._metrics_lock:
-            service = self.registry.render_prometheus()
-        return service + global_metrics().render_prometheus()
+        return (
+            self.registry.render_prometheus() + global_metrics().render_prometheus()
+        )
 
     def drain(self, *, timeout_s: Optional[float] = None) -> bool:
         """Refuse new work, then wait for queued + in-flight requests.
@@ -794,29 +675,22 @@ class SimulationService:
                 set_result_store(None)
 
 
-#: (exception class -> HTTP status, stable error code); checked in order.
-_ERROR_MAP: Tuple[Tuple[type, int, str], ...] = (
-    (ProtocolError, 400, "bad-request"),
-    (ServiceOverloadError, 429, "overloaded"),
-    (ServiceUnavailableError, 503, "draining"),
-    (ServiceTimeoutError, 504, "timeout"),
-)
-
-#: (exception class -> journal outcome); checked in order.
-_OUTCOME_MAP: Tuple[Tuple[type, str], ...] = (
-    (ProtocolError, OUTCOME_BAD_REQUEST),
-    (ServiceOverloadError, OUTCOME_REJECTED),
-    (ServiceUnavailableError, OUTCOME_DRAINING),
-    (ServiceTimeoutError, OUTCOME_TIMEOUT),
-    (ValueError, OUTCOME_BAD_REQUEST),
+#: (exception class, HTTP status, stable error code, journal outcome);
+#: checked in order.  Any other exception is a 500 ``internal`` error.
+_ERRORS: Tuple[Tuple[type, int, str, str], ...] = (
+    (ProtocolError, 400, "bad-request", OUTCOME_BAD_REQUEST),
+    (ServiceOverloadError, 429, "overloaded", OUTCOME_REJECTED),
+    (ServiceUnavailableError, 503, "draining", OUTCOME_DRAINING),
+    (ServiceTimeoutError, 504, "timeout", OUTCOME_TIMEOUT),
 )
 
 
-def _error_outcome(error: BaseException) -> str:
-    for cls, outcome in _OUTCOME_MAP:
+def _classify(error: BaseException) -> Tuple[int, str, str]:
+    """``(status, code, outcome)`` of a failed ``/run`` request."""
+    for cls, status, code, outcome in _ERRORS:
         if isinstance(error, cls):
-            return outcome
-    return OUTCOME_ERROR
+            return status, code, outcome
+    return 500, "internal", OUTCOME_ERROR
 
 
 #: Seconds a connection may stall (idle, or mid-request) before its
@@ -929,11 +803,7 @@ class RequestHandler(OneSendHandler):
     def _error_response(
         self, error: BaseException
     ) -> Tuple[int, bytes, Tuple[Tuple[str, str], ...]]:
-        for cls, status, code in _ERROR_MAP:
-            if isinstance(error, cls):
-                break
-        else:
-            status, code = 500, "internal"
+        status, code, _ = _classify(error)
         extra: Tuple[Tuple[str, str], ...] = ()
         payload = error_payload(status, code, str(error))
         if isinstance(error, ServiceOverloadError):
@@ -1007,7 +877,9 @@ class RequestHandler(OneSendHandler):
         try:
             request = parse_run_request(self._read_body())
             body = self.service.handle_run(request, ctx)
-        except (ReproError, ValueError) as exc:
+        except Exception as exc:  # noqa: BLE001 — every failure gets a response
+            if not isinstance(exc, ReproError):
+                traceback.print_exc()  # a bug, not a refusal: keep its trace
             error = exc
             status, body, extra = self._error_response(exc)
         else:

@@ -7,7 +7,7 @@ the service-scale analog of the paper's single shared SCU: many clients
 offload the same work to one unit instead of each redoing it.
 
 Coalescing is keyed by the request's canonical
-:meth:`~repro.request.RunRequest.cache_key`, so a burst of identical
+:meth:`~repro.request.RunRequest.cache_digest`, so a burst of identical
 cold requests costs one simulation; once the leader finishes, the
 shared run cache serves everyone else.
 """

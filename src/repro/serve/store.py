@@ -180,9 +180,7 @@ class ResultStore:
         if n <= 0:
             return
         registry = self._registry if self._registry is not None else global_metrics()
-        counter = registry.counter(name)
-        for _ in range(n):
-            counter.inc()
+        registry.counter(name).inc(n)
 
     # -- paths ----------------------------------------------------------
     def path_for(self, digest: str) -> Path:

@@ -29,8 +29,6 @@ from typing import Any, Dict, List, Optional
 # -- outcome vocabulary (journal + access log) --------------------------
 
 OUTCOME_SIMULATED = "simulated"
-#: Simulated as part of a micro-batch of >= 2 fused requests.
-OUTCOME_BATCHED = "batched"
 OUTCOME_COALESCED = "coalesced"
 OUTCOME_CACHED = "cached"
 OUTCOME_REJECTED = "rejected-429"
@@ -174,7 +172,6 @@ class AccessLog:
 
 __all__ = [
     "OUTCOME_SIMULATED",
-    "OUTCOME_BATCHED",
     "OUTCOME_COALESCED",
     "OUTCOME_CACHED",
     "OUTCOME_REJECTED",

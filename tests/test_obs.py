@@ -10,7 +10,6 @@ import math
 import os
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -41,6 +40,7 @@ from repro.obs import (
 )
 from repro.phases import RunReport
 from repro.request import RunRequest
+from repro.serve.store import STORE_MISSES_METRIC, ResultStore
 
 
 class FakeClock:
@@ -383,16 +383,12 @@ class TestLruCache:
             cache.get(key)
 
     def test_concurrent_counts_are_exact(self):
-        """A counter increment is a read-modify-write, so the cache
-        counts under a lock of its own: hits, misses and evictions from
-        many threads at once all land.  The registry here yields between
-        each counter's read and its write, the window in which an
-        unserialized count loses updates."""
-        registry = _RacyRegistry("hot.hits", "hot.misses", "churn.evictions")
+        """Hits, misses and evictions counted from many threads at once
+        all land: the registry's counters are atomic."""
+        registry = MetricsRegistry()
         hot = LruCache(1, metrics_prefix="hot", registry=registry)
         hot.put("key", 1)
         churn = LruCache(1, metrics_prefix="churn", registry=registry)
-        workers = max(8, (os.cpu_count() or 1) + 1)
         rounds = 500
 
         def work(tid):
@@ -401,50 +397,74 @@ class TestLruCache:
                 hot.get("absent")
                 churn.put((tid, i), i)
 
-        threads = [
-            threading.Thread(target=work, args=(tid,)) for tid in range(workers)
-        ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        total = workers * rounds
-        assert registry.totals() == {
-            "hot.hits": total,
-            "hot.misses": total,
-            "churn.evictions": total - 1,
-        }
+        total = hammer(work) * rounds
+        assert {
+            name: registry.counter(name).total()
+            for name in ("hot.hits", "hot.misses", "churn.evictions")
+        } == {"hot.hits": total, "hot.misses": total, "churn.evictions": total - 1}
 
 
-class _RacyCounter:
-    """Counter double whose increment yields between its read and write."""
+def hammer(work):
+    """Run ``work(tid)`` on more threads than cores, switching threads as
+    often as the interpreter allows; returns the thread count.
 
-    def __init__(self):
-        self.value = 0
+    A read-modify-write that is not atomic loses updates here."""
+    workers = max(8, (os.cpu_count() or 1) + 1)
+    threads = [threading.Thread(target=work, args=(tid,)) for tid in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return workers
 
-    def inc(self, amount=1):
-        value = self.value
-        time.sleep(0)  # hand the interpreter to another thread mid-update
-        self.value = value + amount
 
+class TestMetricsUnderThreads:
+    """One registry, many threads: every update lands."""
 
-class _RacyRegistry:
-    """Registry double holding one :class:`_RacyCounter` per given name."""
+    def test_bare_instruments_count_exact_totals(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("c")
+        histogram = registry.histogram("h", buckets=(1.0, 2.0))
+        gauge = registry.gauge("g")
+        held = (("counter", "c", 1.0, {}), ("histogram", "h", 3.0, {}))
+        rounds = 1_500
 
-    def __init__(self, *names):
-        self._counters = {name: _RacyCounter() for name in names}
+        def work(tid):
+            for i in range(rounds):
+                counter.inc()
+                counter.inc(2, lane=tid % 2)
+                histogram.observe(1.0)
+                histogram.observe_many([2.0, 3.0])
+                registry.record(held)
+                gauge.set(i, thread=tid)
 
-    def counter(self, name):
-        return self._counters[name]
+        total = hammer(work) * rounds
+        assert counter.value() == 2 * total
+        assert counter.total() == 4 * total
+        assert histogram.stats()["count"] == 4 * total
+        assert histogram.stats()["sum"] == 9.0 * total
+        (series,) = histogram.snapshot()
+        assert series["buckets"] == [["1", total], ["2", 2 * total], ["+Inf", 4 * total]]
+        assert {s["value"] for s in gauge.snapshot()} == {rounds - 1.0}
 
-    def totals(self):
-        return {name: counter.value for name, counter in self._counters.items()}
+    def test_result_store_counts_every_miss(self, tmp_path):
+        registry = MetricsRegistry()
+        store = ResultStore(tmp_path, registry=registry)
+        absent = RunRequest.make("bfs", "human", "TX1", SystemMode.GPU)
+        rounds = 1_000
+
+        def work(tid):
+            for _ in range(rounds):
+                assert store.get(absent) is None
+
+        total = hammer(work) * rounds
+        assert registry.counter(STORE_MISSES_METRIC).total() == total
 
 
 class TestMergeFlatSnapshots:
@@ -505,14 +525,14 @@ class TestRunCacheLru:
     def test_cache_evicts_oldest_beyond_bound(self):
         clear_run_cache()
         # fill past the bound with fake entries shaped like real keys
-        # (RunRequest.cache_key 6-tuples)
+        # (RunRequest.cache_digest hex strings)
         for i in range(RUN_CACHE_SIZE):
-            _RUN_CACHE[("fake", i, "TX1", SystemMode.GPU, 42, ())] = object()
+            _RUN_CACHE[f"{i:064x}"] = object()
         cached_run("bfs", "human", "TX1", SystemMode.GPU)
         assert len(_RUN_CACHE) == RUN_CACHE_SIZE
         # the oldest fake entry was evicted, the real run is resident
-        assert ("fake", 0, "TX1", SystemMode.GPU, 42, ()) not in _RUN_CACHE
-        real_key = RunRequest.make("bfs", "human", "TX1", SystemMode.GPU).cache_key()
+        assert f"{0:064x}" not in _RUN_CACHE
+        real_key = RunRequest.make("bfs", "human", "TX1", SystemMode.GPU).cache_digest()
         assert real_key in _RUN_CACHE
         clear_run_cache()
 

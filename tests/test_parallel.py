@@ -218,13 +218,39 @@ class TestSweepCells:
 
         assert CELL.key in _MEMO
 
+    def test_each_dataset_is_loaded_once_before_the_fork(self, monkeypatch):
+        from repro.harness import parallel
+
+        loads, loaded_at_fork = [], []
+        # Forked workers inherit the stand-in too; their calls are not
+        # seen here, and execute_request loads through its own binding.
+        monkeypatch.setattr(
+            parallel, "load_dataset", lambda name, seed: loads.append((name, seed))
+        )
+        run_sweep = parallel.run_sweep
+
+        def spy(tasks, worker, **kwargs):
+            loaded_at_fork.append(list(loads))
+            return run_sweep(tasks, worker, **kwargs)
+
+        monkeypatch.setattr(parallel, "run_sweep", spy)
+        cells = [
+            SweepCell(algorithm=algorithm, dataset=dataset, gpu="TX1", mode=SystemMode.GPU)
+            for algorithm in ("bfs", "pagerank")
+            for dataset in ("human", "delaunay")
+        ]
+        outcomes = sweep_cells(cells, jobs=2, prime_cache=False)
+        assert [outcome.cell for outcome in outcomes] == cells
+        assert loaded_at_fork == [[("delaunay", 42), ("human", 42)]]
+        assert loads == [("delaunay", 42), ("human", 42)]
+
 
 class TestExperimentCacheBound:
     def test_repeated_priming_stays_bounded(self):
         clear_experiment_cache()
         for sweep in range(3):
             for i in range(EXPERIMENT_CACHE_SIZE):
-                prime_experiment_cache(("fake", sweep, i), object())
+                prime_experiment_cache(f"fake-{sweep}-{i}", object())
             assert experiment_cache_len() <= EXPERIMENT_CACHE_SIZE
         clear_experiment_cache()
 

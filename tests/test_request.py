@@ -1,7 +1,7 @@
 """Tests for the unified run API (repro.request).
 
 The contract under test: there is exactly ONE cache-key derivation in
-the codebase — :meth:`RunRequest.cache_key` — and the experiment memo,
+the codebase — :meth:`RunRequest.cache_digest` — and the experiment memo,
 the run cache, the parallel sweep cells, and the service all agree on
 it byte for byte.
 """
@@ -45,7 +45,7 @@ class TestCacheKeyUnification:
 
     def test_experiment_key_is_the_request_key(self):
         assert experiment_key("bfs", "human", "TX1", SystemMode.GPU) == (
-            RunRequest.make("bfs", "human", "TX1", SystemMode.GPU).cache_key()
+            RunRequest.make("bfs", "human", "TX1", SystemMode.GPU).cache_digest()
         )
 
     def test_experiment_key_with_kwargs(self):
@@ -53,7 +53,7 @@ class TestCacheKeyUnification:
             "bfs", "kron", "TX1", SystemMode.SCU_ENHANCED, enable_grouping=False
         ) == RunRequest.make(
             "bfs", "kron", "TX1", SystemMode.SCU_ENHANCED, enable_grouping=False
-        ).cache_key()
+        ).cache_digest()
 
     def test_sweep_cell_key_is_the_request_key(self):
         cell = SweepCell(
@@ -65,12 +65,23 @@ class TestCacheKeyUnification:
         )
         assert cell.key == RunRequest.make(
             "sssp", "road", "GTX980", SystemMode.SCU_BASIC, source=5
-        ).cache_key()
+        ).cache_digest()
 
     def test_key_includes_seed(self):
         base = RunRequest.make("bfs", "human", "TX1", SystemMode.GPU)
         other = RunRequest.make("bfs", "human", "TX1", SystemMode.GPU, seed=7)
-        assert base.cache_key() != other.cache_key()
+        assert base.cache_digest() != other.cache_digest()
+
+    def test_equal_numbers_of_other_types_are_other_runs(self):
+        # Python has 1 == 1.0 == True; their wire forms, and so the
+        # runs' results, differ.
+        digests = {
+            RunRequest.make(
+                "bfs", "human", "TX1", SystemMode.GPU, source=value
+            ).cache_digest()
+            for value in (1, 1.0, True)
+        }
+        assert len(digests) == 3
 
 
 class TestWireFormat:

@@ -236,9 +236,9 @@ class GatedService(SimulationService):
         super().__init__(config)
         self.release = threading.Event()
 
-    def _simulate(self, members):
+    def _simulate(self, request, ctx):
         self.release.wait(30.0)
-        return super()._simulate(members)
+        return super()._simulate(request, ctx)
 
 
 class CoalescingGatedService(SimulationService):
@@ -252,13 +252,13 @@ class CoalescingGatedService(SimulationService):
 
     expected = 7
 
-    def _simulate(self, members):
+    def _simulate(self, request, ctx):
         deadline = time.time() + 30.0
         while time.time() < deadline:
             if self.registry.counter(COALESCED_METRIC).total() >= self.expected:
                 break
             time.sleep(0.005)
-        return super()._simulate(members)
+        return super()._simulate(request, ctx)
 
 
 def _post(base, body, timeout=60.0):
@@ -496,6 +496,56 @@ class TestHttpService:
         assert payload["error"] == "bad-request"
         assert payload["message"].startswith("kwargs['source'] must be a finite number")
         assert [r["outcome"] for r in service.journal.tail(None)] == ["bad-request"]
+
+    def test_kwargs_the_driver_rejects_are_answered_500(self, served):
+        """A driver's own error is a 500 ``internal`` with the request id,
+        and the keep-alive connection stays usable after it."""
+        service, base = served
+        url = urllib.parse.urlsplit(base)
+        connection = http.client.HTTPConnection(url.hostname, url.port, timeout=60.0)
+        answers = []
+        try:
+            for kwargs in ({"bogus": 1}, {"source": 1_000_000_000}):
+                connection.request(
+                    "POST", "/run", body=_run_body(kwargs=kwargs),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                answers.append(
+                    (
+                        response.status,
+                        json.loads(response.read())["error"],
+                        response.getheader("X-Request-Id"),
+                    )
+                )
+            connection.request("GET", "/healthz")
+            health = connection.getresponse()
+            assert (health.status, json.loads(health.read())["status"]) == (200, "ok")
+        finally:
+            connection.close()
+        assert answers == [
+            (500, "internal", "req-000001"),
+            (500, "internal", "req-000002"),
+        ]
+        journal = [(r["outcome"], r["status"]) for r in service.journal.tail(None)]
+        assert journal == [("error", 500), ("error", 500)]
+
+    def test_an_int_run_does_not_answer_for_its_float_twin(self, served):
+        """``1`` and ``1.0`` are two runs: ``{"source": 1.0}`` gets the
+        same answer whether or not ``{"source": 1}`` ran first."""
+        _, base = served
+
+        def answer(source):
+            try:
+                status, body = _post(base, _run_body(kwargs={"source": source}))
+            except urllib.error.HTTPError as error:
+                status, body = error.code, error.read()
+            return status, json.loads(body)
+
+        before = answer(1.0)
+        assert answer(1)[0] == 200
+        assert answer(1.0) == before
+        assert (before[0], before[1]["error"]) == (500, "internal")
 
 
 class TestCoalescing:
@@ -1438,7 +1488,6 @@ class TestResponseBytesAcrossConfigurations:
             pytest.param({"tracing": False}, id="untraced"),
             pytest.param({"telemetry": False}, id="no-telemetry"),
             pytest.param({"run_isolated": True}, id="isolated"),
-            pytest.param({"batch_window_ms": 5.0}, id="window"),
             pytest.param({"store_dir": "cold"}, id="store-cold-start"),
         ],
     )
