@@ -62,6 +62,9 @@ from .harness import (
     run_experiment,
 )
 from .obs import (
+    NULL_METRICS,
+    Observability,
+    Tracer,
     make_observability,
     render_sim_profile,
     render_wall_profile,
@@ -121,7 +124,8 @@ def _cmd_run(args) -> int:
     kwargs = {}
     if args.source is not None and args.algorithm != "pagerank":
         kwargs["source"] = args.source
-    obs = make_observability() if args.trace else None
+    # --trace writes only spans, so the run records no metrics.
+    obs = Observability(tracer=Tracer(), metrics=NULL_METRICS) if args.trace else None
     if obs is None and args.jobs > 1:
         # Tracing needs one registry across all runs, so --trace
         # stays serial; otherwise the modes are independent simulations.
@@ -250,14 +254,14 @@ def _cmd_trace(args) -> int:
     print(f"trace written to {args.out} (open in ui.perfetto.dev)")
     if args.jsonl:
         obs.tracer.write_jsonl(args.jsonl)
-        print(f"raw event log written to {args.jsonl}")
+        print(f"span records written to {args.jsonl}")
     return 0
 
 
 def _cmd_profile(args) -> int:
     obs, report = _traced_single_run(args)
     print(f"wall-clock profile — {args.algorithm}/{args.dataset} ({args.mode}):")
-    print(render_wall_profile(wall_profile(obs.tracer)))
+    print(render_wall_profile(wall_profile(obs.tracer.spans)))
     print()
     print("simulated-time attribution:")
     print(render_sim_profile(sim_profile(report)))
@@ -679,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jsonl",
         metavar="PATH",
         default=None,
-        help="also write the raw event stream as JSON lines",
+        help="also write the span records as JSON lines",
     )
     trace_parser.add_argument(
         "--request", action="store_true",

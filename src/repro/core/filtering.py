@@ -94,7 +94,7 @@ def _record_filter_metrics(
     keep: np.ndarray,
 ) -> None:
     """Keep rate and hash-table pressure of one filtering pass."""
-    if not obs.enabled:
+    if not obs.metrics.enabled:
         return
     metrics = obs.metrics
     metrics.histogram("scu.filter.keep_rate").observe(

@@ -101,7 +101,7 @@ def group_order(
     out_start = np.cumsum(sorted_sizes) - sorted_sizes
     within = indices - out_start[segment_id]
     perm = order[first_of_group[group_rank][segment_id] + within]
-    if obs.enabled:
+    if obs.metrics.enabled:
         sizes = np.diff(np.append(first_of_group, n))
         obs.metrics.histogram("scu.group.size").observe_many(sizes, table=table.name)
         obs.metrics.histogram("scu.group.quality").observe(

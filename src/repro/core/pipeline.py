@@ -91,7 +91,7 @@ def streams_memory_stats(
         stats = hierarchy.process(result)
         dram_s += hierarchy.dram_time_s(stats)
         parts.append(stats)
-        if obs.enabled and stats.transactions:
+        if obs.metrics.enabled and stats.transactions:
             metrics = obs.metrics
             metrics.counter("scu.stream.transactions").inc(
                 stats.transactions, role=stream.role

@@ -119,7 +119,7 @@ class StreamCompactionUnit:
             hash_probes=hash_probes,
             busy_time_s=timing.total_s,
         )
-        if self.obs.enabled:
+        if self.obs.metrics.enabled:
             op = name.split("(", 1)[0]
             metrics = self.obs.metrics
             metrics.counter("scu.op.count").inc(op=op)
@@ -128,7 +128,9 @@ class StreamCompactionUnit:
             metrics.counter("scu.op.bottleneck").inc(term=timing.bottleneck)
             if hash_probes:
                 metrics.counter("scu.hash.probes").inc(hash_probes)
-            self.obs.tracer.instant(
+        tracer = self.obs.tracer
+        if tracer.enabled:
+            tracer.instant(
                 "scu.phase",
                 "scu",
                 phase=name,

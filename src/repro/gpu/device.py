@@ -96,7 +96,7 @@ class GpuDevice:
             if intercepted is not None:
                 addresses, iru_elements = intercepted
                 active_mask = None  # mask pre-applied by the unit
-        observations = [] if self.obs.enabled else None
+        observations = [] if self.obs.metrics.enabled else None
         result = coalesce_warp(addresses, active_mask=active_mask)
         memory = self.hierarchy.process(
             result, l2_bypass=stream.l2_bypass, observations=observations
@@ -169,7 +169,7 @@ class GpuDevice:
             )
             time_s = timing.total_s + spec.extra_overhead_s + iru_overhead_s
             energy += iru_energy_j
-            if self.obs.enabled:
+            if self.obs.metrics.enabled:
                 metrics = self.obs.metrics
                 metrics.counter("gpu.kernel.launches").inc(kernel=spec.name)
                 metrics.counter("gpu.kernel.transactions").inc(memory.transactions)
@@ -182,6 +182,7 @@ class GpuDevice:
                         iru_elements, kernel=spec.name
                     )
                     metrics.counter("iru.kernel.exposed_s").inc(iru_overhead_s)
+            if tracer.enabled:
                 span.annotate(
                     sim_time_s=time_s,
                     sim_energy_j=energy,

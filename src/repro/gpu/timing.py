@@ -113,7 +113,7 @@ def kernel_timing(
         atomic_s=atomic_s,
         overhead_s=config.kernel_launch_overhead_s,
     )
-    if obs.enabled:
+    if obs.metrics.enabled:
         metrics = obs.metrics
         metrics.counter("gpu.kernel.bottleneck").inc(term=timing.bottleneck)
         metrics.counter("gpu.kernel.sim_time_s").inc(timing.total_s, gpu=config.name)

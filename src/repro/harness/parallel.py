@@ -40,14 +40,9 @@ from ..algorithms.common import SystemMode
 from ..algorithms.runner import execute_request
 from ..errors import ExperimentError
 from ..graph.datasets import load_dataset
-from ..obs import global_metrics, make_observability
+from ..obs import MetricsRegistry, Observability, Tracer, global_metrics
 from ..obs.propagation import new_span_id
-from ..obs.spans import (
-    SpanRecord,
-    perf_to_epoch_us,
-    reparent_spans,
-    spans_from_tracer,
-)
+from ..obs.spans import SpanRecord, reparent_spans
 from ..phases import RunReport
 from ..request import RunRequest
 from .experiments import prime_experiment_cache
@@ -371,24 +366,14 @@ def simulate_cell(cell: SweepCell) -> CellPayload:
             started = time.perf_counter()
             execute_request(request)
             samples.append(time.perf_counter() - started)
-    # Stamp before creating the tracer: its relative clock (ts=0) starts
-    # at Tracer() construction, and base_us must anchor that instant.
-    observed_started = time.perf_counter()
-    obs = make_observability()
+    obs = Observability(
+        tracer=Tracer(process=f"worker-{os.getpid()}"), metrics=MetricsRegistry()
+    )
     report = execute_request(request, obs=obs).report
     metrics = obs.metrics.flat_snapshot() + global_metrics().flat_snapshot()
     spans: Tuple[dict, ...] = ()
     if cell.collect_spans:
-        spans = tuple(
-            span.to_dict()
-            for span in spans_from_tracer(
-                obs.tracer,
-                trace_id="",
-                parent_id=None,
-                base_us=perf_to_epoch_us(observed_started),
-                process=f"worker-{os.getpid()}",
-            )
-        )
+        spans = tuple(span.to_dict() for span in obs.tracer.spans)
     return CellPayload(
         report=report,
         wall_samples=tuple(samples),

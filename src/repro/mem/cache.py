@@ -74,11 +74,11 @@ class SetAssociativeCache:
         if hit_ways.size:
             self._ages[set_idx, hit_ways[0]] = self._clock
             self.stats.hits += 1
-            if self.obs.enabled:
+            if self.obs.metrics.enabled:
                 self.obs.metrics.counter("cache.hits").inc(cache=self.name)
             return True
         self.stats.misses += 1
-        if self.obs.enabled:
+        if self.obs.metrics.enabled:
             self.obs.metrics.counter("cache.misses").inc(cache=self.name)
         victim = int(np.argmin(self._ages[set_idx]))
         if tags[victim] != -1:
@@ -146,7 +146,7 @@ class SetAssociativeCache:
         self.stats.hits += hits
         self.stats.misses += misses
         self.stats.evictions += evictions
-        if self.obs.enabled:
+        if self.obs.metrics.enabled:
             if hits:
                 self.obs.metrics.counter("cache.hits").inc(hits, cache=self.name)
             if misses:

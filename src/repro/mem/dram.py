@@ -123,7 +123,7 @@ class DramModel:
         # A single access cannot beat the device latency.
         latency_floor = self.config.access_latency_ns * 1e-9
         time_s = max(bandwidth_time, latency_floor)
-        if observations is not None or self.obs.enabled:
+        if observations is not None or self.obs.metrics.enabled:
             labels = {"device": self.config.name}
             updates = (
                 ("counter", "mem.dram.requests", accesses, labels),

@@ -209,7 +209,7 @@ class MemoryHierarchy:
         l2_hits = int(round(hit_rate * transactions))
         dram_accesses = transactions - l2_hits
         dram_bytes = dram_accesses * result.sector_bytes
-        if observations is not None or self.obs.enabled:
+        if observations is not None or self.obs.metrics.enabled:
             updates = (
                 ("counter", "mem.accesses", result.accesses, {}),
                 ("counter", "mem.l2.transactions", transactions, {}),

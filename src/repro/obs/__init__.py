@@ -1,11 +1,16 @@
-"""Cross-cutting observability: event tracing, metrics, profiles.
+"""Cross-cutting observability: span tracing, metrics, profiles.
 
 One :class:`Observability` bundle — a :class:`~repro.obs.tracer.Tracer`
 plus a :class:`~repro.obs.metrics.MetricsRegistry` — is threaded through
 ``build_system``/``run_algorithm`` into every simulator layer: the GPU
 device, the memory hierarchy, the SCU, and the algorithm drivers.  The
-default is :data:`NULL_OBS`, whose tracer and registry are no-ops, so
-instrumentation costs nothing when nobody is looking and — by
+two planes are independent: each instrumentation site asks only the
+plane it feeds (``obs.tracer.enabled`` before building span attributes,
+``obs.metrics.enabled`` before building metric updates), so a run that
+only traces — ``Observability(tracer=Tracer(), metrics=NULL_METRICS)``,
+what the service's traced simulations use — pays only for its spans.
+The default is :data:`NULL_OBS`, whose tracer and registry are no-ops,
+so instrumentation costs nothing when nobody is looking and — by
 construction, verified by an A/B test — never changes a simulated
 number.
 
@@ -70,10 +75,9 @@ from .spans import (
     perf_to_epoch_us,
     reparent_spans,
     sanitize_attributes,
-    spans_from_tracer,
     spans_to_chrome,
 )
-from .tracer import NULL_TRACER, NullTracer, SpanHandle, Tracer
+from .tracer import NULL_TRACER, NullTracer, Tracer
 
 
 @dataclass(frozen=True)
@@ -87,11 +91,6 @@ class Observability:
 
     tracer: Tracer = field(default_factory=Tracer)
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-
-    @property
-    def enabled(self) -> bool:
-        """Whether any instrumentation site should compute derived values."""
-        return self.tracer.enabled or self.metrics.enabled
 
 
 #: Shared disabled bundle — the default of every instrumented layer.
@@ -109,7 +108,6 @@ __all__ = [
     "make_observability",
     "Tracer",
     "NullTracer",
-    "SpanHandle",
     "NULL_TRACER",
     "MetricsRegistry",
     "NullMetrics",
@@ -141,7 +139,6 @@ __all__ = [
     "SpanRecord",
     "SpanStore",
     "sanitize_attributes",
-    "spans_from_tracer",
     "reparent_spans",
     "count_sim_phase_spans",
     "spans_to_chrome",

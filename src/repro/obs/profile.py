@@ -2,7 +2,7 @@
 
 Two complementary attributions:
 
-* :func:`wall_profile` folds a tracer's span events into a classic
+* :func:`wall_profile` folds span records into a classic
   self-time profile of the *simulator itself* — where the Python
   process spends its wall-clock time (useful for making the simulator
   faster);
@@ -17,41 +17,41 @@ an aligned text table for the ``repro profile`` CLI command.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List
-
-from ..errors import ObservabilityError
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List
 
 if TYPE_CHECKING:  # avoid an import cycle (phases -> mem -> obs)
     from ..phases import RunReport
-    from .tracer import Tracer
+    from .spans import SpanRecord
 
 
-def wall_profile(tracer: "Tracer") -> List[Dict[str, Any]]:
-    """Aggregate span events into per-name total/self wall time.
+def wall_profile(spans: Iterable["SpanRecord"]) -> List[Dict[str, Any]]:
+    """Aggregate span records into per-name total/self wall time.
 
-    Self time is a span's duration minus the duration of its direct
-    children, so nested instrumentation (an SCU op inside an algorithm
-    iteration) is not double-counted.  Rows are sorted by self time,
-    descending.  Unclosed spans are ignored.
+    Self time is a span's duration minus the durations of the spans
+    whose ``parent_id`` names it, so nested instrumentation (an SCU op
+    inside an algorithm iteration) is not double-counted, and over one
+    whole trace the self times sum to its root's duration.  Any list of
+    records folds: a tracer's, or a stitched trace's.  Instants
+    (zero-duration records) take no wall time and get no row.  Rows are
+    sorted by self time, descending.
     """
+    spans = list(spans)
+    child_us: Dict[str, float] = {}
+    for span in spans:
+        if span.parent_id is not None:
+            child_us[span.parent_id] = (
+                child_us.get(span.parent_id, 0.0) + span.duration_us
+            )
     totals: Dict[str, Dict[str, float]] = {}
-    # Stack entries: [name, start_ts, child_time]
-    stack: List[List[Any]] = []
-    for event in tracer.events:
-        phase = event.get("ph")
-        if phase == "B":
-            stack.append([event["name"], event["ts"], 0.0])
-        elif phase == "E":
-            if not stack:
-                raise ObservabilityError("trace has an end event with no open span")
-            name, start, child_time = stack.pop()
-            duration = event["ts"] - start
-            row = totals.setdefault(name, {"count": 0, "total_us": 0.0, "self_us": 0.0})
-            row["count"] += 1
-            row["total_us"] += duration
-            row["self_us"] += duration - child_time
-            if stack:
-                stack[-1][2] += duration
+    for span in spans:
+        if not span.duration_us:
+            continue
+        row = totals.setdefault(
+            span.name, {"count": 0, "total_us": 0.0, "self_us": 0.0}
+        )
+        row["count"] += 1
+        row["total_us"] += span.duration_us
+        row["self_us"] += span.duration_us - child_us.get(span.span_id, 0.0)
     rows = [
         {
             "name": name,

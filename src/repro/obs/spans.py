@@ -1,26 +1,24 @@
 """Distributed-trace spans: records, the bounded store, stitching.
 
-The Chrome-trace :class:`~repro.obs.tracer.Tracer` stops at the process
-boundary: its begin/end events are relative to one tracer's creation
-and carry no trace identity.  This module is the layer above it —
-schema-versioned JSON **span records** that name their trace, their
-parent, and absolute wall-clock time, so spans recorded by the serve
-front-end, by a forked sweep worker, and by the loadtest client can be
-collected into one store and re-assembled ("stitched") into a single
-Chrome trace per ``trace_id``.
+Every span is one schema-versioned JSON **span record** that names its
+trace, its parent, and its absolute wall-clock start in epoch
+microseconds, taken from this process's one clock anchor
+(:func:`perf_to_epoch_us`).  The simulator's
+:class:`~repro.obs.tracer.Tracer` records its spans in this form, as do
+the serve front-end and the loadtest client, so spans recorded in any of
+them — or in a forked sweep worker — are collected into one store and
+re-assembled ("stitched") into a single Chrome trace per ``trace_id``.
 
 The pieces:
 
-* :class:`SpanRecord` — one completed span as a JSON-serializable
-  record (``schema_version`` :data:`SPAN_SCHEMA_VERSION`), including
-  optional **links** to spans in *other* traces (how a coalesced
-  follower points at the leader's simulation span);
-* :func:`spans_from_tracer` — convert a finished tracer's begin/end
-  event stream into span records under a given trace/parent;
-* :func:`reparent_spans` — adopt records produced in another process
-  (a forked worker) into a trace: rewrite ``trace_id`` everywhere and
-  attach the roots to a new parent, leaving internal parent/child
-  edges intact — the cross-process stitching protocol;
+* :class:`SpanRecord` — one span as a JSON-serializable record
+  (``schema_version`` :data:`SPAN_SCHEMA_VERSION`), including optional
+  **links** to spans in *other* traces (how a coalesced follower points
+  at the leader's simulation span);
+* :func:`reparent_spans` — adopt a tracer's trace-less records, in
+  process or shipped back by a forked worker, into a trace: rewrite
+  ``trace_id`` everywhere and attach the roots to a new parent, leaving
+  internal parent/child edges intact — the stitching protocol;
 * :class:`SpanStore` — bounded in-memory home of recent traces, the
   backing of ``GET /debug/trace/{trace_id}``;
 * :func:`spans_to_chrome` — one stitched trace as a Chrome
@@ -42,8 +40,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ObservabilityError
-from .propagation import new_span_id
-from .tracer import Tracer
 
 #: Bump on any backwards-incompatible change to the span-record layout.
 SPAN_SCHEMA_VERSION = 1
@@ -73,10 +69,10 @@ def epoch_us_now() -> float:
 def _attr_value(value: Any) -> Any:
     """One attribute value coerced to a JSON-serializable shape.
 
-    Tracer event args routinely carry domain objects (enums, dataclass
-    instances); span records are wire artifacts, so anything that is not
-    a JSON scalar or container falls back to ``str()`` rather than
-    failing the whole export.
+    Tracer span attributes routinely carry domain objects (enums,
+    dataclass instances); span records are wire artifacts, so anything
+    that is not a JSON scalar or container falls back to ``str()``
+    rather than failing the whole export.
     """
     if value is None or isinstance(value, (bool, int, str)):
         return value
@@ -121,6 +117,15 @@ class SpanRecord:
     @property
     def end_us(self) -> float:
         return self.start_us + self.duration_us
+
+    def annotate(self, **attributes: Any) -> "SpanRecord":
+        """Attach attributes known only once the span's work is done.
+
+        A phase records its *outcome* this way — simulated time, energy,
+        DRAM bytes — computed after the span began.
+        """
+        self.attributes.update(attributes)
+        return self
 
     def to_dict(self) -> Dict[str, Any]:
         """The schema-versioned JSON wire/store form."""
@@ -177,69 +182,6 @@ class SpanRecord:
             attributes=dict(payload.get("attributes", {})),
             links=[dict(link) for link in payload.get("links", [])],
         )
-
-
-def spans_from_tracer(
-    tracer: Tracer,
-    *,
-    trace_id: str,
-    parent_id: Optional[str],
-    base_us: float,
-    process: str,
-) -> List[SpanRecord]:
-    """Convert a finished tracer's event stream into span records.
-
-    The tracer's begin/end nesting becomes the parent/child tree;
-    ``base_us`` anchors its relative microsecond clock (``ts=0`` is
-    tracer creation) to absolute time; instants become zero-duration
-    spans and counters are dropped (they have no span semantics).
-    Top-level tracer spans are parented under ``parent_id``.
-    """
-    records: List[SpanRecord] = []
-    stack: List[SpanRecord] = []
-    last_ts = 0.0
-    for event in tracer.events:
-        ts = float(event.get("ts", 0.0))
-        last_ts = max(last_ts, ts)
-        phase = event.get("ph")
-        if phase == "B":
-            record = SpanRecord(
-                trace_id=trace_id,
-                span_id=new_span_id(),
-                parent_id=stack[-1].span_id if stack else parent_id,
-                name=event["name"],
-                category=event.get("cat", "sim"),
-                process=process,
-                start_us=base_us + ts,
-                duration_us=0.0,
-                attributes=sanitize_attributes(event.get("args", {})),
-            )
-            records.append(record)
-            stack.append(record)
-        elif phase == "E":
-            if not stack:
-                continue  # unbalanced end: tolerate, spans are best-effort
-            record = stack.pop()
-            record.duration_us = max(0.0, base_us + ts - record.start_us)
-            record.attributes.update(sanitize_attributes(event.get("args", {})))
-        elif phase == "i":
-            records.append(
-                SpanRecord(
-                    trace_id=trace_id,
-                    span_id=new_span_id(),
-                    parent_id=stack[-1].span_id if stack else parent_id,
-                    name=event["name"],
-                    category=event.get("cat", "sim"),
-                    process=process,
-                    start_us=base_us + ts,
-                    duration_us=0.0,
-                    attributes=sanitize_attributes(event.get("args", {})),
-                )
-            )
-    # Spans still open when the tracer stopped close at the last event.
-    for record in stack:
-        record.duration_us = max(0.0, base_us + last_ts - record.start_us)
-    return records
 
 
 def reparent_spans(
@@ -403,7 +345,6 @@ __all__ = [
     "SpanRecord",
     "SpanStore",
     "sanitize_attributes",
-    "spans_from_tracer",
     "reparent_spans",
     "count_sim_phase_spans",
     "spans_to_chrome",

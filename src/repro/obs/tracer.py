@@ -1,19 +1,23 @@
-"""Structured event tracer emitting Chrome ``trace_event`` JSON.
+"""Structured tracer: one observed run's span records and counter samples.
 
-The tracer records three kinds of events against a monotonic wall-clock:
+The tracer records three kinds of events against the process's one
+wall-clock anchor (:func:`~repro.obs.spans.perf_to_epoch_us`):
 
-* **spans** — nestable begin/end pairs (``ph: "B"``/``"E"``) wrapping a
-  unit of simulator work (a kernel launch, an SCU operation, one
-  algorithm iteration);
-* **instants** — point-in-time markers (``ph: "i"``);
-* **counters** — named value series (``ph: "C"``) that Perfetto and
-  ``chrome://tracing`` render as stacked graphs (e.g. frontier size per
-  iteration).
+* **spans** — nestable units of simulator work (a kernel launch, an SCU
+  operation, one algorithm iteration), each recorded once as a
+  trace-less :class:`~repro.obs.spans.SpanRecord` with an absolute
+  epoch-µs start, whose parent is the span open around it;
+* **instants** — point-in-time markers, recorded as zero-duration span
+  records;
+* **counters** — named value series (``frontier.size`` per iteration)
+  that Perfetto and ``chrome://tracing`` render as stacked graphs.
 
-The output of :meth:`Tracer.to_chrome` is the JSON-object flavour of the
-Trace Event Format, loadable directly by Perfetto;
-:meth:`Tracer.write_jsonl` writes the same events one JSON object per
-line for ad-hoc ``jq``-style analysis.
+:meth:`Tracer.to_chrome` is :func:`~repro.obs.spans.spans_to_chrome` of
+the records (complete ``"X"`` events) plus the counter samples, loadable
+directly by Perfetto; :meth:`Tracer.write_jsonl` writes one span record
+per line for ad-hoc ``jq``-style analysis.  The same records are what the
+service adopts into a request's trace, what a forked sweep worker ships
+back, and what :func:`~repro.obs.profile.wall_profile` folds.
 
 Tracing must never perturb the simulation, so the tracer only *records*:
 it takes no locks, mutates no simulator state, and when disabled (the
@@ -26,146 +30,128 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 from ..errors import ObservabilityError
-
-#: pid/tid the single-threaded simulator reports in trace events.
-TRACE_PID = 1
-TRACE_TID = 1
-
-
-class SpanHandle:
-    """Mutable handle to an open span; lets the body attach result args.
-
-    Arguments attached via :meth:`annotate` are emitted on the span's
-    end event (Perfetto merges begin- and end-event args), so a phase
-    can record its *outcome* — simulated time, DRAM bytes — computed
-    after the span began.
-    """
-
-    __slots__ = ("name", "category", "start_us", "extra")
-
-    def __init__(self, name: str, category: str, start_us: float):
-        self.name = name
-        self.category = category
-        self.start_us = start_us
-        self.extra: Dict[str, Any] = {}
-
-    def annotate(self, **args: Any) -> "SpanHandle":
-        self.extra.update(args)
-        return self
+from .propagation import new_span_id
+from .spans import SpanRecord, perf_to_epoch_us, spans_to_chrome
 
 
 class Tracer:
-    """Collects trace events; one instance per observed run."""
+    """Collects span records and counter samples; one instance per observed run.
+
+    ``process`` names the track the records are drawn on (``serve``,
+    ``worker-<pid>``); the records carry no trace id until a service or
+    sweep adopts them into one with :func:`~repro.obs.spans.reparent_spans`.
+    """
 
     enabled = True
 
-    def __init__(self, clock: Callable[[], int] = time.perf_counter_ns):
+    def __init__(
+        self,
+        clock: Callable[[], int] = time.perf_counter_ns,
+        *,
+        process: str = "sim",
+    ):
         self._clock = clock
-        self._t0 = clock()
-        self._stack: List[SpanHandle] = []
-        self.events: List[Dict[str, Any]] = []
+        self.process = process
+        #: Open spans, innermost last, each with its start clock reading.
+        self._open: List[Tuple[SpanRecord, int]] = []
+        self.spans: List[SpanRecord] = []
+        #: Counter samples: (name, epoch µs, values).
+        self.counters: List[Tuple[str, float, Dict[str, float]]] = []
 
-    # -- time ---------------------------------------------------------------
-
-    def _now_us(self) -> float:
-        """Microseconds since tracer creation (Chrome traces use us)."""
-        return (self._clock() - self._t0) / 1000.0
-
-    @property
-    def depth(self) -> int:
-        """Current span nesting depth."""
-        return len(self._stack)
+    def _record(
+        self, name: str, category: str, now_ns: int, args: Dict[str, Any]
+    ) -> SpanRecord:
+        record = SpanRecord(
+            trace_id="",
+            span_id=new_span_id(),
+            parent_id=self._open[-1][0].span_id if self._open else None,
+            name=name,
+            category=category,
+            process=self.process,
+            start_us=perf_to_epoch_us(now_ns / 1e9),
+            duration_us=0.0,
+            attributes=args,
+        )
+        self.spans.append(record)
+        return record
 
     # -- spans --------------------------------------------------------------
 
-    def begin(self, name: str, category: str = "sim", **args: Any) -> SpanHandle:
+    def begin(self, name: str, category: str = "sim", **args: Any) -> SpanRecord:
         """Open a span; prefer the :meth:`span` context manager."""
-        ts = self._now_us()
-        handle = SpanHandle(name, category, ts)
-        self._stack.append(handle)
-        event = {
-            "name": name,
-            "cat": category,
-            "ph": "B",
-            "ts": ts,
-            "pid": TRACE_PID,
-            "tid": TRACE_TID,
-        }
-        if args:
-            event["args"] = args
-        self.events.append(event)
-        return handle
+        now = self._clock()
+        record = self._record(name, category, now, args)
+        self._open.append((record, now))
+        return record
 
     def end(self) -> None:
         """Close the innermost open span."""
-        if not self._stack:
+        if not self._open:
             raise ObservabilityError("Tracer.end() called with no open span")
-        handle = self._stack.pop()
-        event = {
-            "name": handle.name,
-            "cat": handle.category,
-            "ph": "E",
-            "ts": self._now_us(),
-            "pid": TRACE_PID,
-            "tid": TRACE_TID,
-        }
-        if handle.extra:
-            event["args"] = handle.extra
-        self.events.append(event)
+        record, started = self._open.pop()
+        record.duration_us = (self._clock() - started) / 1000.0
 
     @contextmanager
-    def span(self, name: str, category: str = "sim", **args: Any) -> Iterator[SpanHandle]:
-        """Nestable span context: ``with tracer.span("bfs.iteration"): ...``."""
-        handle = self.begin(name, category, **args)
+    def span(
+        self, name: str, category: str = "sim", **args: Any
+    ) -> Iterator[SpanRecord]:
+        """Nestable span context: ``with tracer.span("bfs.iteration"): ...``.
+
+        The body may :meth:`~repro.obs.spans.SpanRecord.annotate` the
+        yielded record with its outcome (simulated time, DRAM bytes).
+        """
+        record = self.begin(name, category, **args)
         try:
-            yield handle
+            yield record
         finally:
             self.end()
 
     # -- instants and counters ----------------------------------------------
 
     def instant(self, name: str, category: str = "sim", **args: Any) -> None:
-        event = {
-            "name": name,
-            "cat": category,
-            "ph": "i",
-            "s": "t",  # thread-scoped marker
-            "ts": self._now_us(),
-            "pid": TRACE_PID,
-            "tid": TRACE_TID,
-        }
-        if args:
-            event["args"] = args
-        self.events.append(event)
+        """A zero-duration span record under the open span."""
+        self._record(name, category, self._clock(), args)
 
     def counter(self, name: str, **values: float) -> None:
         """Record one sample of a counter series (``frontier.size`` etc.)."""
         if not values:
             raise ObservabilityError(f"counter {name!r} needs at least one value")
-        self.events.append(
-            {
-                "name": name,
-                "cat": "counter",
-                "ph": "C",
-                "ts": self._now_us(),
-                "pid": TRACE_PID,
-                "tid": TRACE_TID,
-                "args": {k: float(v) for k, v in values.items()},
-            }
+        self.counters.append(
+            (
+                name,
+                perf_to_epoch_us(self._clock() / 1e9),
+                {k: float(v) for k, v in values.items()},
+            )
         )
 
     # -- export -------------------------------------------------------------
 
     def to_chrome(self) -> Dict[str, Any]:
-        """The JSON-object flavour of the Chrome Trace Event Format."""
-        return {
-            "traceEvents": list(self.events),
-            "displayTimeUnit": "ms",
-            "otherData": {"producer": "repro-scu simulator"},
-        }
+        """The span records as a Chrome trace, plus the counter samples.
+
+        Every record is on this tracer's one track, which
+        :func:`spans_to_chrome` numbers pid 1; the samples join that
+        track on the same time origin, the first span's start (a sample
+        taken before it is drawn there).
+        """
+        doc = spans_to_chrome(self.spans)
+        origin_us = doc["otherData"]["origin_us"]
+        doc["traceEvents"].extend(
+            {
+                "name": name,
+                "cat": "counter",
+                "ph": "C",
+                "ts": max(0.0, epoch_us - origin_us),
+                "pid": 1,
+                "tid": 1,
+                "args": values,
+            }
+            for name, epoch_us, values in self.counters
+        )
+        return doc
 
     def write_chrome(self, path: str) -> None:
         """Write a ``trace.json`` loadable by chrome://tracing / Perfetto."""
@@ -173,14 +159,14 @@ class Tracer:
             json.dump(self.to_chrome(), handle)
 
     def write_jsonl(self, path: str) -> None:
-        """Write one JSON object per line (for jq / pandas consumption)."""
+        """Write one span record per line (for jq / pandas consumption)."""
         with open(path, "w", encoding="utf-8") as handle:
-            for event in self.events:
-                handle.write(json.dumps(event) + "\n")
+            for span in self.spans:
+                handle.write(json.dumps(span.to_dict()) + "\n")
 
 
 class _NullSpan:
-    """Shared no-op span: context manager and handle in one object."""
+    """Shared no-op span: context manager and record in one object."""
 
     __slots__ = ()
 
@@ -203,10 +189,10 @@ class NullTracer(Tracer):
     enabled = False
 
     def __init__(self):  # no clock reads, no buffers
-        self.events = []
-        self._stack = []
+        self.spans = []
+        self.counters = []
 
-    def begin(self, name: str, category: str = "sim", **args: Any) -> SpanHandle:
+    def begin(self, name: str, category: str = "sim", **args: Any) -> SpanRecord:
         return _NULL_SPAN  # type: ignore[return-value]
 
     def end(self) -> None:

@@ -37,7 +37,7 @@ import traceback
 import urllib.parse
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..algorithms import runner
 from ..errors import (
@@ -49,7 +49,7 @@ from ..errors import (
     ServiceUnavailableError,
 )
 from ..harness.parallel import SweepFailure, run_sweep
-from ..obs import make_observability
+from ..obs import NULL_METRICS, Observability, Tracer
 from ..obs.lru import LruCache
 from ..obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -62,7 +62,6 @@ from ..obs.spans import (
     SpanStore,
     perf_to_epoch_us,
     reparent_spans,
-    spans_from_tracer,
     spans_to_chrome,
 )
 from ..phases import RunReport
@@ -147,32 +146,24 @@ class ServiceConfig:
     store_max_bytes: int = DEFAULT_STORE_MAX_BYTES
 
 
-def _simulate_request(task: Tuple) -> Tuple[RunReport, list]:
+def _simulate_request(
+    task: Tuple[RunRequest, bool, bool],
+) -> Tuple[RunReport, List[SpanRecord]]:
     """Simulate one request; returns its report and its phase spans.
 
-    ``task`` is ``(request, spans_under)``.  ``spans_under`` is ``None``
-    for an untraced request, else ``(trace_id, parent_id)``: a tracer
-    records the run's phases, which come back as span records hung
-    under ``parent_id``.  A forked child (``--isolate``) is given
-    ``("", None)`` and ships its spans back trace-less, on a track named
-    after its pid, for the service to adopt with
-    :func:`~repro.obs.spans.reparent_spans`.
+    ``task`` is ``(request, traced, isolated)``.  A traced request runs
+    under a tracer-only bundle and returns the tracer's span records,
+    trace-less, for the service to adopt with
+    :func:`~repro.obs.spans.reparent_spans`.  They are drawn on the
+    ``serve`` track, or, in a forked child (``--isolate``), on a track
+    named after the child's pid.
     """
-    request, spans_under = task
-    if spans_under is None:
+    request, traced, isolated = task
+    if not traced:
         return runner.execute_request(request).report, []
-    trace_id, parent_id = spans_under
-    base_us = perf_to_epoch_us(time.perf_counter())
-    obs = make_observability()
-    report = runner.execute_request(request, obs=obs).report
-    spans = spans_from_tracer(
-        obs.tracer,
-        trace_id=trace_id,
-        parent_id=parent_id,
-        base_us=base_us,
-        process="serve" if trace_id else f"worker-{os.getpid()}",
-    )
-    return report, spans
+    tracer = Tracer(process=f"worker-{os.getpid()}" if isolated else "serve")
+    obs = Observability(tracer=tracer, metrics=NULL_METRICS)
+    return runner.execute_request(request, obs=obs).report, tracer.spans
 
 
 class SimulationService:
@@ -512,38 +503,28 @@ class SimulationService:
             return report, False
         self.registry.counter(SIMULATIONS_METRIC).inc()
         traced = self._traced(ctx)
-        sim_span_id = new_span_id() if traced else None
+        isolated = self.config.run_isolated
+        task = (request, traced, isolated)
         started = time.perf_counter()
-        if not self.config.run_isolated:
-            report, spans = _simulate_request(
-                (request, (ctx.trace_id, sim_span_id) if traced else None)
-            )
-        else:
-            report, spans = self._run_in_child(
-                (request, ("", None) if traced else None)
-            )
-            if traced:
-                spans = reparent_spans(
-                    spans,
-                    trace_id=ctx.trace_id,
-                    parent_id=sim_span_id,
-                    source="isolated worker",
-                )
+        report, spans = (
+            self._run_in_child(task) if isolated else _simulate_request(task)
+        )
         simulate_s = time.perf_counter() - started
         if ctx is not None:
             ctx.simulate_s = simulate_s
         if traced:
-            self._span(
+            sim_span_id = self._span(
                 ctx,
                 "serve.simulate",
                 started,
                 simulate_s,
-                span_id=sim_span_id,
                 algorithm=request.algorithm,
                 mode=request.mode,
-                isolated=self.config.run_isolated,
+                isolated=isolated,
             )
-            ctx.spans.extend(spans)
+            ctx.spans.extend(
+                reparent_spans(spans, trace_id=ctx.trace_id, parent_id=sim_span_id)
+            )
             # Published so coalesced followers can link to this span.
             self._leader_spans.put(
                 request.cache_digest(), (ctx.trace_id, sim_span_id)

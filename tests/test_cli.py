@@ -165,7 +165,9 @@ class TestObservabilityCommands:
         assert main(["trace", "bfs", "human", "--out", str(out_path)]) == 0
         doc = json.loads(out_path.read_text())
         events = doc["traceEvents"]
-        assert events and {"B", "E"} <= {e["ph"] for e in events}
+        # complete span events, with the frontier counter on their track
+        assert events and {"X", "C"} <= {e["ph"] for e in events}
+        assert any(e["name"] == "frontier.size" for e in events if e["ph"] == "C")
         assert "perfetto" in capsys.readouterr().out
 
     def test_trace_jsonl_sidecar(self, tmp_path):

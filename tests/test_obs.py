@@ -26,10 +26,14 @@ from repro.errors import ObservabilityError
 from repro.graph.datasets import load_dataset
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
+    NULL_METRICS,
     NULL_OBS,
+    NULL_TRACER,
     LruCache,
     MetricsRegistry,
+    NullMetrics,
     Observability,
+    SpanRecord,
     Tracer,
     global_metrics,
     make_observability,
@@ -58,22 +62,24 @@ class TestTracer:
     def test_span_nesting_and_ordering(self):
         tracer = Tracer(clock=FakeClock())
         with tracer.span("outer"):
-            assert tracer.depth == 1
             with tracer.span("inner"):
-                assert tracer.depth == 2
+                pass
             tracer.instant("marker")
-        assert tracer.depth == 0
-        shape = [(e["name"], e["ph"]) for e in tracer.events]
-        assert shape == [
-            ("outer", "B"),
-            ("inner", "B"),
-            ("inner", "E"),
-            ("marker", "i"),
-            ("outer", "E"),
-        ]
-        # fake clock => timestamps strictly increase by 1us per event
-        ts = [e["ts"] for e in tracer.events]
-        assert ts == sorted(ts) and len(set(ts)) == len(ts)
+        outer, inner, marker = tracer.spans  # in the order they began
+        assert [s.name for s in tracer.spans] == ["outer", "inner", "marker"]
+        assert outer.parent_id is None
+        assert inner.parent_id == outer.span_id
+        assert marker.parent_id == outer.span_id
+        assert all(s.trace_id == "" for s in tracer.spans)  # trace-less
+        # fake clock => one microsecond per reading: starts strictly
+        # increase, the instant has no duration, the outer span covers
+        # the four readings after its start
+        starts = [s.start_us for s in tracer.spans]
+        assert starts == sorted(starts) and len(set(starts)) == len(starts)
+        assert (outer.duration_us, inner.duration_us, marker.duration_us) == (
+            4.0, 1.0, 0.0
+        )
+        assert outer.start_us <= inner.start_us and inner.end_us <= outer.end_us
 
     def test_end_without_begin_raises(self):
         with pytest.raises(ObservabilityError):
@@ -83,37 +89,45 @@ class TestTracer:
         with pytest.raises(ObservabilityError):
             Tracer(clock=FakeClock()).counter("frontier.size")
 
-    def test_annotate_lands_on_end_event(self):
+    def test_annotate_updates_the_record(self):
         tracer = Tracer(clock=FakeClock())
-        with tracer.span("phase") as span:
+        with tracer.span("phase", kernel="k") as span:
             span.annotate(sim_time_s=1.5)
-        end = tracer.events[-1]
-        assert end["ph"] == "E" and end["args"] == {"sim_time_s": 1.5}
+        (record,) = tracer.spans
+        assert record is span
+        assert record.attributes == {"kernel": "k", "sim_time_s": 1.5}
 
     def test_chrome_trace_schema(self, tmp_path):
-        tracer = Tracer(clock=FakeClock())
+        tracer = Tracer(clock=FakeClock(), process="sim")
+        tracer.counter("frontier.size", nodes=1)
         with tracer.span("a", "cat", depth=0):
             tracer.counter("frontier.size", nodes=7)
         path = tmp_path / "trace.json"
         tracer.write_chrome(str(path))
         doc = json.loads(path.read_text())
         events = doc["traceEvents"]
-        assert isinstance(events, list) and events
-        for event in events:
-            assert {"name", "ph", "ts", "pid", "tid"} <= set(event)
-            assert event["ph"] in {"B", "E", "i", "C"}
-        begins = sum(e["ph"] == "B" for e in events)
-        ends = sum(e["ph"] == "E" for e in events)
-        assert begins == ends
+        assert {e["ph"] for e in events} == {"M", "X", "C"}
+        (meta,) = [e for e in events if e["ph"] == "M"]
+        assert meta["args"] == {"name": "sim"}
+        (span,) = [e for e in events if e["ph"] == "X"]
+        early, sample = [e for e in events if e["ph"] == "C"]
+        assert {"name", "ts", "dur", "pid", "tid"} <= set(span)
+        assert span["args"]["depth"] == 0
+        # one track, one time origin: the sample sits inside the span,
+        # and the one taken before the first span is drawn at its start
+        assert early["pid"] == sample["pid"] == span["pid"] == meta["pid"]
+        assert early["ts"] == span["ts"] == 0.0
+        assert span["ts"] < sample["ts"] < span["ts"] + span["dur"]
+        assert (early["args"], sample["args"]) == ({"nodes": 1.0}, {"nodes": 7.0})
 
     def test_jsonl_round_trips(self, tmp_path):
         tracer = Tracer(clock=FakeClock())
         with tracer.span("a"):
-            pass
+            tracer.counter("c", v=1)
         path = tmp_path / "trace.jsonl"
         tracer.write_jsonl(str(path))
         lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [e["ph"] for e in lines] == ["B", "E"]
+        assert [SpanRecord.from_dict(line) for line in lines] == tracer.spans
 
     def test_null_tracer_records_nothing(self):
         tracer = NULL_OBS.tracer
@@ -121,7 +135,8 @@ class TestTracer:
             span.annotate(x=1)
         tracer.instant("b")
         tracer.counter("c", v=1)
-        assert tracer.events == [] and not tracer.enabled
+        assert tracer.spans == [] and tracer.counters == []
+        assert not tracer.enabled
 
 
 class TestMetrics:
@@ -242,8 +257,8 @@ class TestProfiles:
         tracer = Tracer(clock=FakeClock())
         with tracer.span("outer"):
             with tracer.span("inner"):
-                pass
-        rows = {r["name"]: r for r in wall_profile(tracer)}
+                tracer.instant("marker")  # no wall time, so no row
+        rows = {r["name"]: r for r in wall_profile(tracer.spans)}
         assert set(rows) == {"outer", "inner"}
         # outer's self time excludes inner's whole duration
         assert rows["outer"]["self_us"] == pytest.approx(
@@ -262,26 +277,51 @@ class TestProfiles:
         assert rows == sorted(rows, key=lambda r: r["time_s"], reverse=True)
 
 
+#: The three ways to observe a run: both planes, or either one alone.
+BUNDLES = {
+    "full": make_observability,
+    "tracer-only": lambda: Observability(tracer=Tracer(), metrics=NULL_METRICS),
+    "metrics-only": lambda: Observability(
+        tracer=NULL_TRACER, metrics=MetricsRegistry()
+    ),
+}
+
+ALGORITHMS = ("bfs", "sssp", "pagerank")
+
+
+def observed_run(algorithm, mode, obs):
+    """One run of ``algorithm`` on ``human`` (TX1) under ``obs``."""
+    graph = load_dataset("human", seed=42)
+    kwargs = {} if algorithm == "pagerank" else {"source": 0}
+    return run_algorithm(algorithm, graph, "TX1", mode, obs=obs, **kwargs)
+
+
 class TestDeterminism:
     """Tracing must not change a single simulated number."""
 
-    @pytest.mark.parametrize("algorithm", ["bfs", "sssp", "pagerank"])
-    def test_observed_run_is_bit_identical(self, algorithm):
-        graph = load_dataset("human", seed=42)
-        kwargs = {} if algorithm == "pagerank" else {"source": 0}
-        outcome = run_algorithm(
-            algorithm, graph, "TX1", SystemMode.SCU_ENHANCED, **kwargs
-        )
+    @pytest.mark.parametrize(
+        "algorithm, bundle",
+        [
+            pytest.param(
+                algorithm,
+                bundle,
+                id=algorithm if bundle == "full" else f"{algorithm}-{bundle}",
+            )
+            for bundle in BUNDLES
+            for algorithm in ALGORITHMS
+        ],
+    )
+    def test_observed_run_is_bit_identical(self, algorithm, bundle):
+        outcome = observed_run(algorithm, SystemMode.SCU_ENHANCED, NULL_OBS)
         plain = outcome.result
         plain_report = outcome.report
-        obs = make_observability()
-        outcome = run_algorithm(
-            algorithm, graph, "TX1", SystemMode.SCU_ENHANCED, obs=obs, **kwargs
-        )
+        obs = BUNDLES[bundle]()
+        outcome = observed_run(algorithm, SystemMode.SCU_ENHANCED, obs)
         traced = outcome.result
         traced_report = outcome.report
-        # observation actually happened...
-        assert obs.tracer.events and obs.metrics.names()
+        # observation actually happened, on each plane the bundle has...
+        assert bool(obs.tracer.spans) == obs.tracer.enabled
+        assert bool(obs.metrics.names()) == obs.metrics.enabled
         # ...and changed nothing
         assert np.array_equal(plain, traced)
         assert traced_report.time_s() == plain_report.time_s()
@@ -293,6 +333,61 @@ class TestDeterminism:
             assert a.time_s == b.time_s
             assert a.dynamic_energy_j == b.dynamic_energy_j
             assert a.memory.dram_bytes == b.memory.dram_bytes
+
+
+def span_content(spans):
+    """Each span's name, category, parent's name and attributes, in order."""
+    names = {span.span_id: span.name for span in spans}
+    return [
+        (span.name, span.category, names.get(span.parent_id), span.attributes)
+        for span in spans
+    ]
+
+
+PLANE_CASES = pytest.mark.parametrize(
+    "algorithm, mode",
+    [
+        (algorithm, mode)
+        for algorithm in ALGORITHMS
+        for mode in (SystemMode.SCU_ENHANCED, SystemMode.IRU)
+    ],
+)
+
+
+class TestPlanesApart:
+    """Each instrumentation site feeds one plane and asks only that one."""
+
+    @PLANE_CASES
+    def test_metrics_only_run_records_the_full_metrics(self, algorithm, mode):
+        full = BUNDLES["full"]()
+        observed_run(algorithm, mode, full)
+        alone = BUNDLES["metrics-only"]()
+        observed_run(algorithm, mode, alone)
+        assert alone.metrics.flat_snapshot() == full.metrics.flat_snapshot()
+
+    @PLANE_CASES
+    def test_tracer_only_run_records_the_full_spans(self, algorithm, mode):
+        full = BUNDLES["full"]()
+        observed_run(algorithm, mode, full)
+        alone = BUNDLES["tracer-only"]()
+        observed_run(algorithm, mode, alone)
+        assert span_content(alone.tracer.spans) == span_content(full.tracer.spans)
+        assert alone.tracer.counters and [
+            (name, values) for name, _, values in alone.tracer.counters
+        ] == [(name, values) for name, _, values in full.tracer.counters]
+
+    @PLANE_CASES
+    def test_tracer_only_run_builds_no_metric_updates(
+        self, algorithm, mode, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(
+            NullMetrics, "record", lambda self, updates: calls.append(updates)
+        )
+        obs = BUNDLES["tracer-only"]()
+        observed_run(algorithm, mode, obs)
+        assert obs.tracer.spans
+        assert calls == []
 
 
 class TestLruCache:

@@ -28,7 +28,9 @@ from repro.errors import (
     ServiceTimeoutError,
     ServiceUnavailableError,
 )
-from repro.obs import MetricsRegistry
+from repro.harness.parallel import SweepCell, stitch_cell_spans, sweep_cells
+from repro.obs import MetricsRegistry, wall_profile
+from repro.obs.spans import SpanRecord, count_sim_phase_spans
 from repro.request import RunRequest
 from repro.serve import (
     COALESCED_METRIC,
@@ -1438,6 +1440,70 @@ class TestTracing:
             httpd.server_close()
             service.drain(timeout_s=10.0)
             clear_run_cache()
+
+
+#: Epoch microseconds near today's clock are doubles with a 0.25 us
+#: step, so interval containment holds to within one microsecond.
+CLOCK_STEP_US = 1.0
+
+
+def assert_folds_to_root(spans, client_span_id):
+    """One trace's accounting identities: an unbroken tree under the
+    client's span, every child inside its parent's interval, and self
+    times that sum to the root's duration."""
+    by_id = {span.span_id: span for span in spans}
+    assert len(by_id) == len(spans)
+    roots = [span for span in spans if span.parent_id not in by_id]
+    assert [root.parent_id for root in roots] == [client_span_id]
+    for span in spans:
+        parent = by_id.get(span.parent_id)
+        if parent is not None:
+            assert parent.start_us - CLOCK_STEP_US <= span.start_us, span
+            assert span.end_us <= parent.end_us + CLOCK_STEP_US, span
+    (root,) = roots
+    self_us = sum(row["self_us"] for row in wall_profile(spans))
+    assert self_us == pytest.approx(root.duration_us)
+
+
+class TestTraceFoldsToRoot:
+    """Served and swept traces are whole trees that account for their time."""
+
+    @pytest.mark.parametrize(
+        "isolated", [False, True], ids=["in-process", "isolated"]
+    )
+    def test_served_request(self, isolated):
+        clear_run_cache()
+        service = SimulationService(ServiceConfig(port=0, run_isolated=isolated))
+        httpd, base = _start(service)
+        try:
+            status, _, _ = _post_traced(base, REQUEST_BODY, TRACEPARENT)
+            assert status == 200
+            payload = _get_trace(base, CLIENT_TRACE)
+        finally:
+            _stop(service, httpd)
+            clear_run_cache()
+        spans = [SpanRecord.from_dict(span) for span in payload["spans"]]
+        assert count_sim_phase_spans(spans) >= 1  # the phases came along
+        assert_folds_to_root(spans, CLIENT_SPAN)
+
+    def test_swept_cells(self):
+        cells = [
+            SweepCell(
+                algorithm="bfs",
+                dataset="human",
+                gpu="TX1",
+                mode=mode,
+                collect_spans=True,
+            )
+            for mode in (SystemMode.GPU, SystemMode.SCU_ENHANCED)
+        ]
+        outcomes = sweep_cells(cells, jobs=2, prime_cache=False)
+        for outcome in outcomes:  # one tree per cell
+            spans = stitch_cell_spans(
+                [outcome], trace_id=CLIENT_TRACE, parent_id=CLIENT_SPAN
+            )
+            assert count_sim_phase_spans(spans) >= 1
+            assert_folds_to_root(spans, CLIENT_SPAN)
 
 
 # ---------------------------------------------------------------------------

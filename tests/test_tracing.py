@@ -2,7 +2,7 @@
 repro.obs.spans) and the ops-console render layer (repro.serve.console).
 
 Everything here is process-local and fast: W3C traceparent parsing,
-tracer-to-span conversion, the cross-process re-parenting protocol, the
+the tracer's span records, the cross-process re-parenting protocol, the
 bounded span store, Chrome-trace stitching, and the pure text frames of
 ``repro top``.  The end-to-end HTTP paths live in test_serve.py; the
 forked-worker paths in test_parallel.py.
@@ -10,6 +10,7 @@ forked-worker paths in test_parallel.py.
 
 import json
 import math
+import time
 
 import pytest
 
@@ -33,7 +34,6 @@ from repro.obs.spans import (
     perf_to_epoch_us,
     reparent_spans,
     sanitize_attributes,
-    spans_from_tracer,
     spans_to_chrome,
 )
 from repro.serve.console import (
@@ -190,40 +190,34 @@ class TestSpanRecord:
 
 class TestSpansFromTracer:
     def test_nesting_becomes_parent_child_tree(self):
-        tracer = Tracer()
+        tracer = Tracer(process="serve")
+        before_us = perf_to_epoch_us(time.perf_counter())
         with tracer.span("outer", "algorithm"):
             with tracer.span("inner", "gpu-kernel"):
                 pass
             tracer.instant("marker", "sim")
-        spans = spans_from_tracer(
-            tracer,
-            trace_id=TRACE_ID,
-            parent_id=SPAN_ID,
-            base_us=1_000_000.0,
-            process="serve",
-        )
+        spans = reparent_spans(tracer.spans, trace_id=TRACE_ID, parent_id=SPAN_ID)
         by_name = {span.name: span for span in spans}
         assert by_name["outer"].parent_id == SPAN_ID
         assert by_name["inner"].parent_id == by_name["outer"].span_id
         assert by_name["marker"].parent_id == by_name["outer"].span_id
         assert by_name["marker"].duration_us == 0.0
         assert all(span.trace_id == TRACE_ID for span in spans)
-        assert all(span.start_us >= 1_000_000.0 for span in spans)
+        assert all(span.process == "serve" for span in spans)
+        # absolute stamps from the process's one clock anchor
+        assert all(span.start_us >= before_us for span in spans)
         assert by_name["outer"].end_us >= by_name["inner"].end_us
 
-    def test_counters_are_dropped_and_open_spans_closed(self):
+    def test_counters_are_not_spans_and_open_spans_have_no_duration(self):
         tracer = Tracer()
         tracer.counter("bytes", value=10)
-        handle = tracer.begin("open", "sim")
+        tracer.begin("open", "sim")
         tracer.instant("tick", "sim")
-        del handle  # never ended: span stays open
-        spans = spans_from_tracer(
-            tracer, trace_id=TRACE_ID, parent_id=None, base_us=0.0, process="p"
-        )
-        names = [span.name for span in spans]
-        assert "bytes" not in names
-        open_span = next(span for span in spans if span.name == "open")
-        assert open_span.duration_us >= 0.0
+        assert [span.name for span in tracer.spans] == ["open", "tick"]
+        open_span, tick = tracer.spans
+        assert open_span.duration_us == 0.0  # never ended
+        assert tick.parent_id == open_span.span_id
+        assert [name for name, _, _ in tracer.counters] == ["bytes"]
 
     def test_sim_phase_counting(self):
         spans = [_span(category=c) for c in SIM_SPAN_CATEGORIES]
@@ -343,13 +337,7 @@ class TestObservedRunProducesSimSpans:
         obs = make_observability()
         request = RunRequest.make("bfs", "human", "TX1", "scu-enhanced")
         execute_request(request, obs=obs)
-        spans = spans_from_tracer(
-            obs.tracer,
-            trace_id=TRACE_ID,
-            parent_id=None,
-            base_us=perf_to_epoch_us(0.0),
-            process="serve",
-        )
+        spans = obs.tracer.spans
         assert count_sim_phase_spans(spans) >= 1
         json.dumps([span.to_dict() for span in spans])  # all serializable
 
